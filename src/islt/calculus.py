@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 from .formula import And, Bot, Box, Formula, Imp, Or, Var, parse_formula, print_formula, sort_key
-from .sequent import Multiset, Sequent, box_all, partition_boxed
+from .sequent import Multiset, Sequent, partition_boxed
 
 
 class RuleId(str, Enum):
@@ -39,6 +40,11 @@ LEFT_RULES = frozenset(
     {RuleId.AndL, RuleId.OrL, RuleId.AtomImpL, RuleId.AndImpL, RuleId.OrImpL, RuleId.ImpImpL, RuleId.BoxImpL}
 )
 ZERO_PREMISE = frozenset({RuleId.BotL, RuleId.IdP})
+# rules whose every premise is derivable whenever the conclusion is
+# (structural.invert); ImpImpL and BoxImpL have this only for the right premise
+INVERTIBLE = frozenset(
+    {RuleId.AndL, RuleId.AndR, RuleId.OrL, RuleId.ImpR, RuleId.AtomImpL, RuleId.AndImpL, RuleId.OrImpL}
+)
 
 
 class SchemaError(ValueError):
@@ -49,8 +55,12 @@ class SchemaError(ValueError):
 class RuleInstance:
     rule: RuleId
     conclusion: Sequent
-    premises: tuple[Sequent, ...]
     principal: Optional[Formula] = None
+
+    @cached_property
+    def premises(self) -> tuple[Sequent, ...]:
+        """Built on first access, so search pays only for instances it tries."""
+        return premises_of(self.rule, self.conclusion, self.principal)
 
 
 @dataclass(frozen=True)
@@ -163,12 +173,15 @@ def premises_of(rule: RuleId, conclusion: Sequent, principal: Optional[Formula])
     raise SchemaError(f"no schema for rule {rule.value}")
 
 
+_RULE_RANK = {rule: i for i, rule in enumerate(RuleId)}
+
+
 def expand(s: Sequent) -> list[RuleInstance]:
     """All backward rule instances at s, deterministically ordered."""
     out: list[RuleInstance] = []
 
     def emit(rule: RuleId, principal: Optional[Formula]) -> None:
-        out.append(RuleInstance(rule, s, premises_of(rule, s, principal), principal))
+        out.append(RuleInstance(rule, s, principal))
 
     if Bot() in s.ant:
         emit(RuleId.BotL, None)
@@ -205,8 +218,7 @@ def expand(s: Sequent) -> list[RuleInstance]:
     elif isinstance(s.suc, Box):
         emit(RuleId.SLtR, None)
 
-    order = list(RuleId)
-    out.sort(key=lambda inst: (order.index(inst.rule), sort_key(inst.principal) if inst.principal else ()))
+    out.sort(key=lambda inst: (_RULE_RANK[inst.rule], sort_key(inst.principal) if inst.principal else ()))
     return out
 
 

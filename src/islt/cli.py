@@ -38,6 +38,15 @@ def _env_budget() -> Optional[int]:
     return value
 
 
+def _budget(flag: Optional[int]) -> Optional[int]:
+    """--budget wins over ISLT_BUDGET; both must be positive."""
+    if flag is None:
+        return _env_budget()
+    if flag <= 0:
+        raise SystemExit("error: --budget must be positive")
+    return flag
+
+
 def _parse_goal(text: str, as_sequent: bool) -> Sequent:
     if as_sequent:
         return parse_sequent(text)
@@ -48,7 +57,7 @@ def _parse_goal(text: str, as_sequent: bool) -> Sequent:
 
 def _cmd_prove(args: argparse.Namespace) -> int:
     goal = _parse_goal(args.goal, args.sequent)
-    budget = args.budget if args.budget is not None else _env_budget()
+    budget = _budget(args.budget)
     seed = args.seed
     if args.naive and seed is None:
         seed = random.SystemRandom().randrange(2**31)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .calculus import (
+    INVERTIBLE,
     LEFT_RULES,
     Derivation,
     RuleId,
@@ -39,13 +40,7 @@ from .structural import (
     weaken,
 )
 
-_INVERTIBLE_LEFT = (
-    RuleId.AndL,
-    RuleId.OrL,
-    RuleId.AtomImpL,
-    RuleId.AndImpL,
-    RuleId.OrImpL,
-)
+_INVERTIBLE_LEFT = INVERTIBLE & LEFT_RULES
 
 
 class CutError(ValueError):
@@ -167,7 +162,7 @@ def _cut(
 
     # principal on the left: the cut formula was just introduced
     if r1 is RuleId.AndR:
-        a, b = phi.left, phi.right
+        b = phi.right
         opened = invert(RuleId.AndL, d2, phi)[0]
         after_a = go(weaken(d1.children[0], b), opened)
         return go(d1.children[1], after_a)
@@ -229,7 +224,6 @@ def _cut_imp_r(d1: Derivation, d2: Derivation, go) -> Derivation:
             return go(cut_c, right2)
         if r2 is RuleId.BoxImpL:
             # phi = []x -> y; rebuild []x under the strong rule, then cut twice
-            y = p1
             left2, right2 = d2.children
             boxed = _boxed_occurrences(ctx)
             s1 = unbox_left(d1p, boxed)
@@ -254,7 +248,6 @@ def _cut_sltr(d1: Derivation, d2: Derivation, go) -> Derivation:
 
     if r2 is RuleId.BoxImpL:
         pi = d2.principal
-        y = pi.right
         left2, right2 = d2.children
         rest = ctx.remove(pi)
         rest_boxed = _boxed_occurrences(rest)
@@ -273,7 +266,6 @@ def _cut_sltr(d1: Derivation, d2: Derivation, go) -> Derivation:
         return node(RuleId.BoxImpL, conclusion, pi, pi0, xb)
 
     if r2 is RuleId.SLtR:
-        g0 = goal.body
         p2 = d2.children[0]
         stripped = unbox_left(d1, _boxed_occurrences(ctx))
         a = weaken(stripped, goal)
@@ -322,7 +314,7 @@ def _commute_right_rule(d1: Derivation, d2: Derivation, go) -> Derivation:
         return node(r2, conclusion, pi, *subs)
     if r2 is RuleId.ImpImpL:
         pi = d2.principal
-        x, y, z = pi.left.left, pi.left.right, pi.right
+        y, z = pi.left.right, pi.right
         yz = Imp(y, z)
         left2, right2 = d2.children
         rest = ctx.remove(pi)
@@ -336,7 +328,6 @@ def _commute_right_rule(d1: Derivation, d2: Derivation, go) -> Derivation:
         # reached only for a non-boxed cut formula
         assert isinstance(phi, Imp), print_formula(phi)
         pi = d2.principal
-        y = pi.right
         left2, right2 = d2.children
         rest = ctx.remove(pi)
         nb = go(box_imp_lir(d1, pi), right2)
@@ -354,7 +345,6 @@ def _commute_right_rule(d1: Derivation, d2: Derivation, go) -> Derivation:
         return node(RuleId.BoxImpL, conclusion, pi, na, nb)
     if r2 is RuleId.SLtR:
         assert isinstance(phi, Imp), print_formula(phi)
-        g0 = goal.body
         p2 = d2.children[0]
         stripped = unbox_left(d1, _boxed_occurrences(ctx))
         sub = go(weaken(stripped, goal), p2)

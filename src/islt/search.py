@@ -1,9 +1,24 @@
 """Backward proof search.
 
-Naive depth-first search over expand(); termination is structural, because
-every rule instance strictly reduces theta upwards. Memoization on canonical
-sequents is on by default; naive mode turns it off and shuffles the rule
-order with a seed, which must not change any verdict.
+Depth-first search over expand(); termination is structural, because every
+rule instance strictly reduces theta upwards, so any order of instances and
+premises decides the goal.
+
+The default search memoizes canonical sequents and commits where the
+paper's inversion lemmas allow it. AndL, AndR, OrL, ImpR, AtomImpL, AndImpL
+and OrImpL are invertible (structural.invert): each premise is derivable
+whenever the conclusion is, so when one of their premises fails the
+sequent is unprovable and no other instance is tried. ImpImpL and BoxImpL
+are invertible in their right premise only (imp_imp_lir, box_imp_lir):
+that premise is searched first and its failure is final, while a failed
+left premise moves on to the next instance. Committing only cuts branches
+that cannot succeed, so every verdict and every proof is the one the full
+search finds, but Unprovable.explored and the count a budget abort reports
+are smaller than a full search would give.
+
+Naive mode turns memoization off, shuffles the rule order with a seed and
+never commits: it is the memo-free, any-strategy search whose termination
+the paper proves, and it must reach the same verdicts.
 """
 
 from __future__ import annotations
@@ -12,7 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .calculus import Derivation, RuleId, expand
+from .calculus import INVERTIBLE, Derivation, RuleId, expand
 from .formula import Formula
 from .measure import shortlex_less, theta
 from .sequent import Multiset, Sequent
@@ -55,6 +70,20 @@ _PRIORITY = {
 }
 
 
+# the right premise is invertible, the left one is not
+_RIGHT_INVERTIBLE = frozenset({RuleId.ImpImpL, RuleId.BoxImpL})
+
+
+def _plan(rule: RuleId, n: int) -> tuple[tuple[int, ...], int]:
+    """Committed search order of a rule's n premises, and how many of the
+    leading ones are invertible: the failure of one of those is final."""
+    if rule in INVERTIBLE:
+        return tuple(range(n)), n
+    if rule in _RIGHT_INVERTIBLE:
+        return (1, 0), 1
+    return tuple(range(n)), 0
+
+
 class _Budget(Exception):
     pass
 
@@ -66,8 +95,9 @@ def prove(
     budget: Optional[int] = None,
     debug: bool = False,
 ) -> SearchResult:
-    """Decide s. naive=True disables memoization and shuffles rule order
-    using seed; budget caps the number of distinct sequents visited."""
+    """Decide s. naive=True disables memoization and commitment and shuffles
+    rule order using seed; budget caps the number of distinct sequents
+    visited."""
     rng = random.Random(seed) if naive else None
     memo: dict[Sequent, Optional[Derivation]] = {}
     visited: set[Sequent] = set()
@@ -95,14 +125,23 @@ def prove(
             )
         result: Optional[Derivation] = None
         for inst in order(expand(seq)):
-            children = []
-            for premise in inst.premises:
-                sub = search(premise, own_theta)
+            premises = inst.premises
+            if naive:
+                plan, final = range(len(premises)), 0
+            else:
+                plan, final = _plan(inst.rule, len(premises))
+            children: list[Optional[Derivation]] = [None] * len(premises)
+            refuted = False
+            for k, i in enumerate(plan):
+                sub = search(premises[i], own_theta)
                 if sub is None:
+                    refuted = k < final
                     break
-                children.append(sub)
+                children[i] = sub
             else:
                 result = Derivation(seq, inst.rule, inst.principal, tuple(children))
+                break
+            if refuted:
                 break
         if not naive:
             memo[seq] = result

@@ -79,14 +79,6 @@ class Multiset:
         return Multiset(tuple(sorted(counts.items(), key=lambda e: sort_key(e[0]))))
 
 
-def msum(a: Multiset, b: Multiset) -> Multiset:
-    return a.union(b)
-
-
-def mremove(a: Multiset, f: Formula) -> Multiset:
-    return a.remove(f)
-
-
 def partition_boxed(a: Multiset) -> tuple[Multiset, Multiset]:
     """Maximal split (phi, gamma): phi holds the non-boxed occurrences and
     gamma the bodies of the boxed ones, one box level only."""
@@ -101,10 +93,6 @@ def partition_boxed(a: Multiset) -> tuple[Multiset, Multiset]:
         Multiset(tuple(phi)),
         Multiset(tuple(sorted(gamma.items(), key=lambda e: sort_key(e[0])))),
     )
-
-
-def box_all(a: Multiset) -> Multiset:
-    return Multiset(tuple(sorted(((Box(f), n) for f, n in a.entries), key=lambda e: sort_key(e[0]))))
 
 
 def unbox_one_level(a: Multiset) -> Multiset:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional
 
 from .calculus import (
+    INVERTIBLE,
     LEFT_RULES,
     ZERO_PREMISE,
     Derivation,
@@ -42,15 +43,6 @@ HEIGHT_PRESERVING = {
 
 class TransformError(ValueError):
     """A transform was applied outside its precondition."""
-
-
-def _boxed_bodies(ms: Multiset) -> list[Formula]:
-    """The boxed occurrences of ms, as a list with multiplicity."""
-    out: list[Formula] = []
-    for f, n in ms.entries:
-        if isinstance(f, Box):
-            out.extend([f] * n)
-    return out
 
 
 def weaken(p: Derivation, f: Formula) -> Derivation:
@@ -184,23 +176,10 @@ def _invert_and_r(p: Derivation, which: int) -> Derivation:
     return _commute_right(p, [], part, lambda c: _invert_and_r(c, which))
 
 
-_INVERTIBLE = frozenset(
-    {
-        RuleId.AndR,
-        RuleId.AndL,
-        RuleId.OrL,
-        RuleId.ImpR,
-        RuleId.AtomImpL,
-        RuleId.AndImpL,
-        RuleId.OrImpL,
-    }
-)
-
-
 def invert(rule: RuleId, p: Derivation, principal: Optional[Formula] = None) -> list[Derivation]:
     """Height-preserving inversion: proofs of every premise of the given
     rule instance at p's root. Only the invertible rules qualify."""
-    if rule not in _INVERTIBLE:
+    if rule not in INVERTIBLE:
         raise TransformError(f"{rule.value} is not invertible")
     if rule is RuleId.AndR:
         return [_invert_and_r(p, 0), _invert_and_r(p, 1)]

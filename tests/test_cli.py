@@ -101,6 +101,14 @@ def test_budget_env(capsys, monkeypatch):
     assert "must be positive" in err
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_budget_flag_must_be_positive(capsys, value):
+    code, out, err = run(capsys, "prove", "--budget", value, "p -> p")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --budget must be positive\n"
+
+
 def test_check_roundtrip(capsys, tmp_path):
     d = certificate("p /\\ q => q")
     path = tmp_path / "cert.json"

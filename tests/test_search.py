@@ -1,11 +1,12 @@
 import random
+from typing import Optional
 
 import pytest
 
 from genlib import random_sequent
-from islt.calculus import check, uses_cut
+from islt.calculus import Derivation, check, dumps, expand, uses_cut
 from islt.formula import parse_formula
-from islt.search import BudgetExceeded, Proved, Unprovable, decide, prove
+from islt.search import _PRIORITY, BudgetExceeded, Proved, Unprovable, decide, prove
 from islt.sequent import Multiset, Sequent, parse_sequent
 
 PROVABLE = [
@@ -25,6 +26,43 @@ UNPROVABLE = [
     "p",
     "#",
 ]
+
+
+def reference_prove(s: Sequent) -> Optional[Derivation]:
+    """Memoized search over expand() that never commits: it tries every
+    instance, in the prover's priority order so that proofs coincide, and
+    every premise left to right."""
+    memo: dict[Sequent, Optional[Derivation]] = {}
+
+    def search(seq: Sequent) -> Optional[Derivation]:
+        if seq in memo:
+            return memo[seq]
+        result = None
+        for inst in sorted(expand(seq), key=lambda i: _PRIORITY[i.rule]):
+            children = []
+            for premise in inst.premises:
+                sub = search(premise)
+                if sub is None:
+                    break
+                children.append(sub)
+            else:
+                result = Derivation(seq, inst.rule, inst.principal, tuple(children))
+                break
+        memo[seq] = result
+        return result
+
+    return search(s)
+
+
+def capped_corpus(count: int, max_weight: int) -> list[Sequent]:
+    rng = random.Random(7)
+    return [random_sequent(rng, 5, max_ant=4, max_weight=max_weight) for _ in range(count)]
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    # weight cap: the reference search re-explores what commitment prunes
+    return capped_corpus(400, 24)
 
 
 def test_regression_verdicts():
@@ -62,8 +100,8 @@ def test_unprovable_reports_explored_count():
 def test_naive_agrees_with_memoized():
     # weight cap: memo-free search re-explores exponentially on fat sequents
     rng = random.Random(53)
-    for i in range(150):
-        s = random_sequent(rng, 3, max_weight=20)
+    goals = [random_sequent(rng, 3, max_weight=20) for _ in range(150)] + capped_corpus(150, 20)
+    for i, s in enumerate(goals):
         base = prove(s)
         alt = prove(s, naive=True, seed=i)
         assert type(base) is type(alt), s
@@ -80,10 +118,9 @@ def test_seed_reproducibility():
     assert a.proof == b.proof
 
 
-def test_debug_mode_asserts_descent():
+def test_debug_mode_asserts_descent(corpus):
     rng = random.Random(59)
-    for _ in range(100):
-        s = random_sequent(rng, 3)
+    for s in [random_sequent(rng, 3) for _ in range(100)] + corpus:
         prove(s, debug=True)  # must not trip the internal descent assertion
 
 
@@ -102,3 +139,18 @@ def test_memoization_handles_repeats():
     r = prove(s)
     assert isinstance(r, Proved)
     assert check(r.proof) is None
+
+
+def test_committed_search_matches_reference(corpus):
+    proved = 0
+    for s in corpus:
+        want = reference_prove(s)
+        got = prove(s)
+        if want is None:
+            assert isinstance(got, Unprovable), s
+        else:
+            assert isinstance(got, Proved), s
+            assert dumps(got.proof) == dumps(want), s
+            assert check(got.proof) is None
+            proved += 1
+    assert 0 < proved < len(corpus)
