@@ -127,7 +127,7 @@ def premises_of(rule: RuleId, conclusion: Sequent, principal: Optional[Formula])
         p = need_principal()
         if not isinstance(p, Imp) or not isinstance(p.left, Var):
             raise SchemaError("AtomImpL principal must be an implication with atomic antecedent")
-        if p.left not in ant.remove(p):
+        if p.left not in ant:
             raise SchemaError("AtomImpL needs the atom alongside the implication")
         return (Sequent(ant.remove(p).add(p.right), suc),)
     if rule is RuleId.ImpR:
@@ -196,7 +196,7 @@ def expand(s: Sequent) -> list[RuleInstance]:
         elif isinstance(f, Imp):
             head = f.left
             if isinstance(head, Var):
-                if head in s.ant.remove(f):
+                if head in s.ant:
                     emit(RuleId.AtomImpL, f)
             elif isinstance(head, And):
                 emit(RuleId.AndImpL, f)
@@ -304,9 +304,28 @@ def _sequent_to_json(s: Sequent) -> dict:
     return {"ant": [print_formula(f) for f in s.ant], "suc": print_formula(s.suc)}
 
 
+_JSON_KIND = {dict: "an object", list: "an array", str: "a string"}
+
+
+def _field(obj: dict, key: str, kind: type, required: bool = True):
+    """obj[key], checked to be of the given JSON kind; ValueError if not.
+    An optional key that is absent gives None."""
+    if key not in obj:
+        if required:
+            raise ValueError(f"certificate lacks {key!r}")
+        return None
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"certificate {key!r} must be {_JSON_KIND[kind]}, got {type(value).__name__}")
+    return value
+
+
 def _sequent_from_json(obj: dict) -> Sequent:
-    ant = Multiset.from_iterable(parse_formula(t) for t in obj["ant"])
-    return Sequent(ant, parse_formula(obj["suc"]))
+    texts = _field(obj, "ant", list)
+    if not all(isinstance(t, str) for t in texts):
+        raise ValueError("certificate 'ant' must hold only strings")
+    ant = Multiset.from_iterable(parse_formula(t) for t in texts)
+    return Sequent(ant, parse_formula(_field(obj, "suc", str)))
 
 
 def derivation_to_json(d: Derivation) -> dict:
@@ -318,10 +337,15 @@ def derivation_to_json(d: Derivation) -> dict:
 
 
 def derivation_from_json(obj: dict) -> Derivation:
-    rule = RuleId(obj["rule"])
-    principal = parse_formula(obj["principal"]) if "principal" in obj else None
-    children = tuple(derivation_from_json(c) for c in obj.get("premises", []))
-    return Derivation(_sequent_from_json(obj["sequent"]), rule, principal, children)
+    """Inverse of derivation_to_json; ValueError on a wrong shape."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"certificate node must be an object, got {type(obj).__name__}")
+    rule = RuleId(_field(obj, "rule", str))
+    principal = _field(obj, "principal", str, required=False)
+    premises = _field(obj, "premises", list, required=False) or []
+    children = tuple(derivation_from_json(c) for c in premises)
+    sequent = _sequent_from_json(_field(obj, "sequent", dict))
+    return Derivation(sequent, rule, None if principal is None else parse_formula(principal), children)
 
 
 def dumps(d: Derivation) -> str:

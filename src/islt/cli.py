@@ -2,8 +2,9 @@
 
 Exit codes are uniform across subcommands: 0 for provable, valid, or
 found; 1 for unprovable, invalid, or no countermodel within the bound;
-2 for usage errors, malformed input, and budget aborts. Output for a
-fixed invocation is byte-identical across runs.
+2 for usage errors, malformed input (input nested too deeply for the
+recursive parser, printer or search included), and budget aborts. Output
+for a fixed invocation is byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -195,6 +196,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except (json.JSONDecodeError, KeyError, ValueError) as e:
         print(f"error: malformed input: {e}", file=sys.stderr)
+        return 2
+    except RecursionError:
+        print("error: input nested too deeply", file=sys.stderr)
         return 2
     except SystemExit as e:
         if isinstance(e.code, str):

@@ -11,6 +11,7 @@ that descent is asserted at every step and exposed through the log.
 from __future__ import annotations
 
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -95,6 +96,19 @@ class CutInstance:
                 raise CutError(f"{name} premise fails checking: {bad}")
 
 
+@contextmanager
+def _recursion_limit(depth: int):
+    """Raise the interpreter's recursion limit to at least depth for the
+    block, since the construction recurses on proof height, and give the
+    caller's limit back afterwards."""
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(before, depth))
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(before)
+
+
 def cut_admissible(
     instance: CutInstance,
     debug: bool = False,
@@ -104,9 +118,8 @@ def cut_admissible(
     """A cut-free proof of the instance's conclusion."""
     if validate:
         instance.validate()
-    if sys.getrecursionlimit() < 100000:
-        sys.setrecursionlimit(100000)
-    return _cut(instance.left, instance.right, None, debug, log)
+    with _recursion_limit(100000):
+        return _cut(instance.left, instance.right, None, debug, log)
 
 
 def _enter(d1: Derivation, d2: Derivation, parent: Optional[Measure], debug: bool, log) -> Measure:
@@ -358,9 +371,8 @@ def eliminate(d: Derivation, debug: bool = False, log: Optional[list] = None) ->
     bad = check(d, allow_cut=True)
     if bad is not None:
         raise CutError(f"input fails checking: {bad}")
-    if sys.getrecursionlimit() < 100000:
-        sys.setrecursionlimit(100000)
-    out = _eliminate(d, debug, log)
+    with _recursion_limit(100000):
+        out = _eliminate(d, debug, log)
     assert out.root == d.root
     return out
 

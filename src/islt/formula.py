@@ -3,96 +3,174 @@
 The language has propositional variables, falsum, conjunction, disjunction,
 implication and a single box modality. There is no diamond and no primitive
 negation; ``~a`` is accepted by the parser as sugar for ``a -> #``.
+
+Formulas are hash-consed (Filliatre and Conchon, "Type-safe modular
+hash-consing", 2006): the constructors return the one live node of each
+structure, so structurally equal formulas are the same object and ``==``
+and ``hash`` work by identity. Nodes are immutable. Each node stores its
+``weight`` and its structural ``key`` once, built from its children's, so
+neither ``weight``, ``sort_key`` nor ``compare`` recurses. Comparing two
+keys still descends in C along the spine the two formulas share, and
+raises RecursionError when that is deeper than the recursion limit.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from weakref import ref
 
 
 class Formula:
     """Base class; concrete shapes are Var, Bot, And, Or, Imp, Box."""
 
-    __slots__ = ()
+    __slots__ = ("weight", "key", "__weakref__")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(map(repr, self._fields()))})"
 
     def __str__(self) -> str:
         return print_formula(self)
 
 
-@dataclass(frozen=True)
+# Intern table: (class, name) for a variable and (class, id of each child)
+# otherwise -> weak reference to the node. A live node keeps its children
+# and so their ids, so an entry always names the right children; a node's
+# entry is dropped when the node dies.
+_TABLE: dict[tuple, ref] = {}
+
+
+class _Ref(ref):
+    __slots__ = ("entry",)
+
+
+def _forget(r: _Ref) -> None:
+    if _TABLE.get(r.entry) is r:
+        del _TABLE[r.entry]
+
+
+def _intern(entry: tuple, node: Formula, w: int, key: tuple) -> Formula:
+    """Give a new node its weight and key and enter it in the table."""
+    _set_weight(node, w)
+    _set_key(node, key)
+    r = _TABLE[entry] = _Ref(node, _forget)
+    r.entry = entry
+    return node
+
+
 class Var(Formula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __new__(cls, name: str) -> Var:
+        entry = (cls, name)
+        r = _TABLE.get(entry)
+        if r is not None:
+            node = r()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        _set_name(node, name)
+        return _intern(entry, node, 1, (1, name))
 
 
-@dataclass(frozen=True)
 class Bot(Formula):
-    pass
+    __slots__ = __match_args__ = ()
+
+    def __new__(cls) -> Bot:
+        return _BOT
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class _Binary(Formula):
+    __slots__ = __match_args__ = ("left", "right")
+    _RANK: int
+    _WEIGHT: int  # added to the weights of the two children
+
+    def __new__(cls, left: Formula, right: Formula):
+        entry = (cls, id(left), id(right))
+        r = _TABLE.get(entry)
+        if r is not None:
+            node = r()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        _set_left(node, left)
+        _set_right(node, right)
+        return _intern(entry, node, left.weight + right.weight + cls._WEIGHT, (cls._RANK, left.key, right.key))
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    __slots__ = ()
+    _RANK, _WEIGHT = 2, 2
 
 
-@dataclass(frozen=True)
-class Imp(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    __slots__ = ()
+    _RANK, _WEIGHT = 3, 1
 
 
-@dataclass(frozen=True)
+class Imp(_Binary):
+    __slots__ = ()
+    _RANK, _WEIGHT = 4, 1
+
+
 class Box(Formula):
-    body: Formula
+    __slots__ = __match_args__ = ("body",)
+
+    def __new__(cls, body: Formula) -> Box:
+        entry = (cls, id(body))
+        r = _TABLE.get(entry)
+        if r is not None:
+            node = r()
+            if node is not None:
+                return node
+        node = object.__new__(cls)
+        _set_body(node, body)
+        return _intern(entry, node, body.weight + 1, (5, body.key))
+
+
+# slot setters that bypass the immutability guard, for construction only
+_set_weight, _set_key = Formula.weight.__set__, Formula.key.__set__
+_set_name, _set_body = Var.name.__set__, Box.body.__set__
+_set_left, _set_right = _Binary.left.__set__, _Binary.right.__set__
+
+_BOT = object.__new__(Bot)
+_set_weight(_BOT, 1)
+_set_key(_BOT, (0,))
 
 
 def weight(f: Formula) -> int:
     """Termination weight; conjunction counts one extra so that
     w(a -> (b -> c)) < w((a /\\ b) -> c)."""
-    if isinstance(f, (Var, Bot)):
-        return 1
-    if isinstance(f, (Or, Imp)):
-        return weight(f.left) + weight(f.right) + 1
-    if isinstance(f, And):
-        return weight(f.left) + weight(f.right) + 2
-    if isinstance(f, Box):
-        return weight(f.body) + 1
-    raise TypeError(f"not a formula: {f!r}")
+    return f.weight
 
 
-_RANK = {Bot: 0, Var: 1, And: 2, Or: 3, Imp: 4, Box: 5}
-
-
-def sort_key(f: Formula):
-    """Injective key giving a total structural order on formulas.
+def sort_key(f: Formula) -> tuple:
+    """Injective key giving a total structural order on formulas: (0,) for
+    falsum, (1, name) for a variable, (5, key of body) for a box and
+    (rank, key of left, key of right) with ranks 2, 3, 4 for and, or, imp.
 
     Keys of equal rank always have the same shape, so nested tuple
     comparison never mixes types.
     """
-    if isinstance(f, Bot):
-        return (0,)
-    if isinstance(f, Var):
-        return (1, f.name)
-    if isinstance(f, Box):
-        return (5, sort_key(f.body))
-    return (_RANK[type(f)], sort_key(f.left), sort_key(f.right))
+    return f.key
 
 
 def compare(a: Formula, b: Formula) -> int:
     """-1, 0 or 1; zero exactly on structural equality."""
-    ka, kb = sort_key(a), sort_key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
+    if a is b:
+        return 0
+    return -1 if a.key < b.key else 1
 
 
 def variables(f: Formula) -> set[str]:

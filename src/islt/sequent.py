@@ -13,11 +13,41 @@ from .formula import Box, Formula, ParseError, _Parser, print_formula, sort_key
 from .formula import variables as formula_variables
 
 
+Entries = tuple[tuple[Formula, int], ...]
+
+
+def _put(entries: Entries, f: Formula, n: int) -> Entries:
+    """entries with n more occurrences of f (n < 0 removes), found by
+    bisection on the stored keys; removing more than present is an error."""
+    key = f.key
+    lo, hi = 0, len(entries)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        g = entries[mid][0]
+        if g is f:
+            lo = mid
+            break
+        if g.key < key:
+            lo = mid + 1
+        else:
+            hi = mid
+    if lo < len(entries) and entries[lo][0] is f:
+        have, rest = entries[lo][1], entries[lo + 1 :]
+    else:
+        have, rest = 0, entries[lo:]
+    total = have + n
+    if total < 0:
+        raise KeyError(f"removing {-n} of {print_formula(f)}, only {have} present")
+    if total == 0:
+        return entries[:lo] + rest
+    return entries[:lo] + ((f, total),) + rest
+
+
 @dataclass(frozen=True)
 class Multiset:
     """Multiset of formulas as (formula, count) entries sorted by sort_key."""
 
-    entries: tuple[tuple[Formula, int], ...] = ()
+    entries: Entries = ()
 
     @staticmethod
     def of(*formulas: Formula) -> "Multiset":
@@ -28,11 +58,11 @@ class Multiset:
         counts: dict[Formula, int] = {}
         for f in formulas:
             counts[f] = counts.get(f, 0) + 1
-        return Multiset(tuple(sorted(counts.items(), key=lambda e: sort_key(e[0]))))
+        return Multiset(tuple((f, counts[f]) for f in sorted(counts, key=sort_key)))
 
     def count(self, f: Formula) -> int:
         for g, n in self.entries:
-            if g == f:
+            if g is f:
                 return n
         return 0
 
@@ -52,46 +82,32 @@ class Multiset:
             yield f
 
     def add(self, f: Formula, n: int = 1) -> "Multiset":
-        counts = dict(self.entries)
-        counts[f] = counts.get(f, 0) + n
-        return Multiset(tuple(sorted(counts.items(), key=lambda e: sort_key(e[0]))))
+        return Multiset(_put(self.entries, f, n))
 
     def remove(self, f: Formula) -> "Multiset":
         """Drop one occurrence; absence is an error."""
-        return self.remove_all(Multiset.of(f))
+        return Multiset(_put(self.entries, f, -1))
 
     def remove_all(self, other: "Multiset") -> "Multiset":
-        counts = dict(self.entries)
+        entries = self.entries
         for f, n in other.entries:
-            have = counts.get(f, 0)
-            if have < n:
-                raise KeyError(f"removing {n} of {print_formula(f)}, only {have} present")
-            if have == n:
-                del counts[f]
-            else:
-                counts[f] = have - n
-        return Multiset(tuple(sorted(counts.items(), key=lambda e: sort_key(e[0]))))
+            entries = _put(entries, f, -n)
+        return Multiset(entries)
 
     def union(self, other: "Multiset") -> "Multiset":
-        counts = dict(self.entries)
+        entries = self.entries
         for f, n in other.entries:
-            counts[f] = counts.get(f, 0) + n
-        return Multiset(tuple(sorted(counts.items(), key=lambda e: sort_key(e[0]))))
+            entries = _put(entries, f, n)
+        return Multiset(entries)
 
 
 def partition_boxed(a: Multiset) -> tuple[Multiset, Multiset]:
     """Maximal split (phi, gamma): phi holds the non-boxed occurrences and
-    gamma the bodies of the boxed ones, one box level only."""
-    phi: list[tuple[Formula, int]] = []
-    gamma: dict[Formula, int] = {}
-    for f, n in a.entries:
-        if isinstance(f, Box):
-            gamma[f.body] = gamma.get(f.body, 0) + n
-        else:
-            phi.append((f, n))
+    gamma the bodies of the boxed ones, one box level only. Boxes sort by
+    their bodies, so gamma keeps the order of a."""
     return (
-        Multiset(tuple(phi)),
-        Multiset(tuple(sorted(gamma.items(), key=lambda e: sort_key(e[0])))),
+        Multiset(tuple(e for e in a.entries if not isinstance(e[0], Box))),
+        Multiset(tuple((f.body, n) for f, n in a.entries if isinstance(f, Box))),
     )
 
 

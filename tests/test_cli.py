@@ -1,9 +1,14 @@
 """End-to-end command-line behavior via cli.main."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import islt
 from islt import calculus
 from islt.cli import main
 from islt.formula import Var
@@ -215,6 +220,41 @@ def test_parse_errors_exit_2(capsys):
     code, _, err = run(capsys, "theta", "p -> q")
     assert code == 2
     assert "=>" in err
+
+
+DEEP = "(" * 1200 + "p" + ")" * 1200
+
+
+@pytest.mark.parametrize("argv", [("prove", DEEP), ("theta", f"{DEEP} => p")])
+def test_deep_input_exits_2_without_traceback(argv):
+    # a fresh interpreter: the suite itself runs with a raised recursion limit
+    src = str(Path(islt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    got = subprocess.run(
+        [sys.executable, "-m", "islt.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert got.returncode == 2
+    assert "Traceback" not in got.stderr
+    assert got.stderr == "error: input nested too deeply\n"
+    assert got.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["check", "cutelim"])
+@pytest.mark.parametrize("shape", ["premises-string", "top-level-list"])
+def test_certificate_of_the_wrong_shape_exits_2(capsys, tmp_path, command, shape):
+    obj = json.loads(calculus.dumps(certificate("p /\\ q => q")))
+    if shape == "premises-string":
+        obj["premises"] = "p => p"
+    else:
+        obj = [obj]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    extra = ["-o", str(tmp_path / "out.json")] if command == "cutelim" else []
+    code, out, err = run(capsys, command, str(path), *extra)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed input: certificate")
+    assert len(err.splitlines()) == 1
 
 
 def test_usage_error_raises_system_exit():

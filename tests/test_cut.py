@@ -1,6 +1,7 @@
 """Cut admissibility and elimination: acceptance, descent logs, rejection."""
 
 import random
+import sys
 
 import pytest
 from genlib import formula, random_sequent
@@ -160,3 +161,17 @@ def test_eliminate_rejects_invalid_input():
     broken = Derivation(parse_sequent("p => q"), RuleId.IdP, None, ())
     with pytest.raises(CutError, match="fails checking"):
         eliminate(broken)
+
+
+def test_cut_restores_the_callers_recursion_limit():
+    base = proved("p => p \\/ q")
+    right = id_general(base.root.suc, base.root.ant)
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(4321)
+    try:
+        eliminate(node(RuleId.Cut, base.root, None, base, right))
+        assert sys.getrecursionlimit() == 4321
+        cut_admissible(CutInstance(base, right))
+        assert sys.getrecursionlimit() == 4321
+    finally:
+        sys.setrecursionlimit(before)

@@ -1,12 +1,17 @@
+import copy
+import pickle
 import random
+import weakref
 
 import pytest
 
 from genlib import formula
+from islt import calculus
 from islt.formula import (
     And,
     Bot,
     Box,
+    Formula,
     Imp,
     Or,
     ParseError,
@@ -18,6 +23,7 @@ from islt.formula import (
     variables,
     weight,
 )
+from islt.sequent import Multiset, Sequent
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -114,3 +120,85 @@ def test_compare_rank_order():
 def test_variables():
     assert variables(parse_formula("p -> ([]q /\\ #)")) == {"p", "q"}
     assert variables(Bot()) == set()
+
+
+def reference_weight(f: Formula) -> int:
+    """The recursive definition the stored weight must agree with."""
+    if isinstance(f, (Var, Bot)):
+        return 1
+    if isinstance(f, (Or, Imp)):
+        return reference_weight(f.left) + reference_weight(f.right) + 1
+    if isinstance(f, And):
+        return reference_weight(f.left) + reference_weight(f.right) + 2
+    return reference_weight(f.body) + 1
+
+
+_RANK = {Bot: 0, Var: 1, And: 2, Or: 3, Imp: 4, Box: 5}
+
+
+def reference_sort_key(f: Formula):
+    """The recursive structural key the stored key must agree with."""
+    if isinstance(f, Bot):
+        return (0,)
+    if isinstance(f, Var):
+        return (1, f.name)
+    if isinstance(f, Box):
+        return (5, reference_sort_key(f.body))
+    return (_RANK[type(f)], reference_sort_key(f.left), reference_sort_key(f.right))
+
+
+def test_equal_formulas_are_one_object():
+    assert Var("p") is Var("p")
+    assert Bot() is Bot()
+    assert Var("p") is not Var("q")
+    text = "[](p -> q) /\\ # \\/ ~r"
+    built = Or(And(Box(Imp(p, q)), Bot()), Imp(r, Bot()))
+    parsed = parse_formula(text)
+    leaf = calculus.node(calculus.RuleId.IdP, Sequent(Multiset.of(built), built), None)
+    loaded = calculus.loads(calculus.dumps(leaf)).root.suc
+    assert parsed is built and loaded is built
+    assert And(p, q) is not Or(p, q)
+    assert pickle.loads(pickle.dumps(built)) is built
+    assert copy.deepcopy(built) is built
+    assert repr(Imp(p, Bot())) == "Imp(Var('p'), Bot())"
+
+
+def test_the_intern_table_keeps_no_formula_alive():
+    f = Imp(And(Var("fresh_a"), Var("fresh_b")), Box(Var("fresh_c")))
+    refs = [weakref.ref(g) for g in (f, f.left, f.right, f.left.left, f.right.body)]
+    del f
+    assert [r() for r in refs] == [None] * len(refs)
+
+
+def test_formulas_are_immutable():
+    f = And(p, q)
+    for obj, name in [(p, "name"), (f, "left"), (f, "weight"), (f, "key"), (Box(p), "body")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, q)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert f.left is p and weight(f) == 4
+
+
+def test_stored_weight_and_key_match_the_recursive_definitions():
+    rng = random.Random(29)
+    pool = [formula(rng, rng.randrange(0, 6)) for _ in range(1500)]
+    for f in pool:
+        assert weight(f) == reference_weight(f)
+        assert sort_key(f) == reference_sort_key(f)
+    assert sorted(pool, key=sort_key) == sorted(pool, key=reference_sort_key)
+    for a, b in zip(pool, pool[1:]):
+        ka, kb = reference_sort_key(a), reference_sort_key(b)
+        assert compare(a, b) == (ka > kb) - (ka < kb)
+
+
+def test_deep_formulas_need_no_recursion():
+    f = p
+    for i in range(20_000):
+        f = Imp(q, f) if i % 2 else Box(f)
+    assert weight(f) == 1 + 10_000 * 1 + 10_000 * 2
+    assert hash(f) == hash(f) and (f == f) is True
+    assert compare(f, f) == 0 and compare(f, p) == 1 and compare(Box(f), f) == 1
+    ms = Multiset.of(p, Box(f)).add(f).add(f)
+    assert ms.count(f) == 2 and len(ms) == 4
+    assert ms.remove(f).count(f) == 1

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from typing import Optional
 
@@ -154,3 +155,18 @@ def test_committed_search_matches_reference(corpus):
             assert check(got.proof) is None
             proved += 1
     assert 0 < proved < len(corpus)
+
+
+# sha256 of the lines below over the corpus fixture, recorded before formulas
+# were hash-consed; any change to the canonical order, the rule order or the
+# search strategy changes it
+GOLDEN_SHA256 = "070177e1ba728c060384cb2a88c2c91ca878264af4ad6178e5aa5308f7ccc625"
+
+
+def test_golden_verdicts_and_certificates(corpus):
+    h = hashlib.sha256()
+    for s in corpus:
+        r = prove(s)
+        body = dumps(r.proof) if isinstance(r, Proved) else str(r.explored)
+        h.update(f"{s}\t{type(r).__name__}\t{body}\n".encode())
+    assert h.hexdigest() == GOLDEN_SHA256
