@@ -174,13 +174,22 @@ def compare(a: Formula, b: Formula) -> int:
 
 
 def variables(f: Formula) -> set[str]:
-    if isinstance(f, Var):
-        return {f.name}
-    if isinstance(f, Bot):
-        return set()
-    if isinstance(f, Box):
-        return variables(f.body)
-    return variables(f.left) | variables(f.right)
+    """The variable names in f, visiting each shared subformula once."""
+    out: set[str] = set()
+    seen: set[Formula] = set()
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        if g in seen:
+            continue
+        seen.add(g)
+        if isinstance(g, Var):
+            out.add(g.name)
+        elif isinstance(g, Box):
+            todo.append(g.body)
+        elif not isinstance(g, Bot):
+            todo += (g.left, g.right)
+    return out
 
 
 class ParseError(ValueError):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
 
-from .calculus import Violation
+from .calculus import Violation, _field
 from .formula import And, Bot, Box, Formula, Imp, Or, Var, parse_formula, print_formula
 from .search import Proved, decide
 
@@ -230,18 +230,23 @@ def hilbert_to_json(d: HilbertNode) -> dict:
 
 
 def hilbert_from_json(data: dict) -> HilbertNode:
-    context = frozenset(parse_formula(s) for s in data.get("context", []))
-    conclusion = parse_formula(data["conclusion"])
-    rule = HilbertRule(data["rule"])
-    axiom = AxiomId(data["axiom"]) if data.get("axiom") else None
-    subst_raw = data.get("subst")
-    subst = (
-        tuple(sorted((k, parse_formula(v)) for k, v in subst_raw.items()))
-        if subst_raw is not None
-        else None
-    )
-    children = tuple(hilbert_from_json(c) for c in data.get("children", []))
-    return HilbertNode(context, conclusion, rule, axiom, subst, children)
+    """Inverse of hilbert_to_json; ValueError on a wrong shape."""
+    if not isinstance(data, dict):
+        raise ValueError(f"certificate node must be an object, got {type(data).__name__}")
+    texts = _field(data, "context", list, required=False) or []
+    if not all(isinstance(t, str) for t in texts):
+        raise ValueError("certificate 'context' must hold only strings")
+    context = frozenset(parse_formula(t) for t in texts)
+    conclusion = parse_formula(_field(data, "conclusion", str))
+    rule = HilbertRule(_field(data, "rule", str))
+    # hilbert_to_json writes a null axiom for an Ax node without one
+    axiom = None if data.get("axiom") is None else _field(data, "axiom", str)
+    subst_raw = _field(data, "subst", dict, required=False)
+    if subst_raw is not None and not all(isinstance(v, str) for v in subst_raw.values()):
+        raise ValueError("certificate 'subst' must map to strings")
+    subst = tuple(sorted((k, parse_formula(v)) for k, v in subst_raw.items())) if subst_raw is not None else None
+    children = tuple(hilbert_from_json(c) for c in _field(data, "children", list, required=False) or [])
+    return HilbertNode(context, conclusion, rule, AxiomId(axiom) if axiom else None, subst, children)
 
 
 def dumps(d: HilbertNode) -> str:

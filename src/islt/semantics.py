@@ -6,12 +6,28 @@ modal relation r with (leq ; r) contained in r and r contained in leq; the
 two containments make forcing persistent and keep the box a strong Loeb
 modality on finite frames. r empty recovers plain intuitionistic models.
 Absence of a countermodel within the world bound proves nothing.
+
+Forcing is computed a frame at a time. A batch evaluates each subformula
+once on one frame under many valuations together: the extension of a
+formula is one integer per world, whose bit c says whether that world
+forces the formula under valuation c. The models that one
+``enumerate_models`` call builds on one frame share that frame's batches,
+and each model records its batch and its valuation number, so ``forces``,
+``valid`` and ``evaluator`` only read bits, and ``find_countermodel`` scans
+whole batches and builds a model only for the first hit. A batch ranges
+over every valuation of the trailing variables, as many of them as keep it
+within ``_MAX_WIDTH`` valuations; the leading variables are fixed per
+batch and looped over outside, in enumeration order. A model built by
+hand, or by ``model_from_json``, is evaluated through a batch of width 1
+made on first use. Batches evaluate with their own stack, so the depth of
+a formula is not bounded by Python's recursion limit.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from typing import Callable, Iterator, Optional, Sequence
 
 from .formula import And, Bot, Box, Formula, Imp, Or, Var
@@ -20,9 +36,18 @@ from .sequent import variables as sequent_variables
 
 ENUMERATION_BOUND = 3
 
+# Valuations per batch at most: a batch's integers have this many bits.
+# A frame with u up-sets and k variables has u**k valuations (8**10 on a
+# three-world antichain), so only the trailing variables are batched.
+_MAX_WIDTH = 4096
+
 
 @dataclass(frozen=True)
 class KripkeModel:
+    """A finite model; immutable, the valuation included. A model may
+    carry the batch it is evaluated through, which is not part of its
+    value: equality, hashing, repr, pickling and copying ignore it."""
+
     worlds: int
     leq: frozenset[tuple[int, int]]
     r: frozenset[tuple[int, int]]
@@ -42,6 +67,9 @@ class KripkeModel:
             and self.r == other.r
             and self.valuation == other.valuation
         )
+
+    def __reduce__(self):
+        return KripkeModel, (self.worlds, self.leq, self.r, self.valuation)
 
 
 def validate_model(m: KripkeModel) -> list[str]:
@@ -83,41 +111,189 @@ def validate_model(m: KripkeModel) -> list[str]:
     return problems
 
 
-def evaluator(m: KripkeModel) -> Callable[[Formula], int]:
-    """Forcing extensions as world bitmasks, memoized per subformula."""
-    up = [0] * m.worlds
-    for (a, b) in m.leq:
-        up[a] |= 1 << b
-    rm = [0] * m.worlds
-    for (a, b) in m.r:
-        rm[a] |= 1 << b
-    full = (1 << m.worlds) - 1
-    cache: dict[Formula, int] = {}
+class _Frame:
+    """Worlds 0..n-1 with leq and r, and, for an enumerated frame, its
+    up-sets in enumeration order."""
 
-    def ext(g: Formula) -> int:
-        got = cache.get(g)
+    __slots__ = ("n", "leq", "r", "up", "succ", "upsets", "_digits")
+
+    def __init__(self, n: int, leq, r, upsets: Sequence[frozenset[int]] = ()):
+        self.n, self.leq, self.r, self.upsets = n, leq, r, upsets
+        self.up = [[b for (a, b) in leq if a == w and 0 <= b < n] for w in range(n)]
+        self.succ = [[b for (a, b) in r if a == w and 0 <= b < n] for w in range(n)]
+        self._digits: dict[int, list[list[int]]] = {}
+
+    def digit_masks(self, j: int) -> list[list[int]]:
+        """masks[i][w] has bit c set, for c < u**j with u up-sets, when the
+        i-th of the j base-u digits of c (the last one least significant)
+        names an up-set holding world w: the extensions of j variables
+        under all u**j valuations, numbered in `product` order."""
+        got = self._digits.get(j)
+        if got is None:
+            u = len(self.upsets)
+            width = u**j
+            got = []
+            for i in range(j):
+                stride = u ** (j - 1 - i)
+                # one period of digit i, then repeated across the width
+                repeat = ((1 << width) - 1) // ((1 << stride * u) - 1)
+                ones = (1 << stride) - 1
+                per_world = []
+                for w in range(self.n):
+                    block = 0
+                    for d, upset in enumerate(self.upsets):
+                        if w in upset:
+                            block |= ones << d * stride
+                    per_world.append(block * repeat)
+                got.append(per_world)
+            self._digits[j] = got
+        return got
+
+
+class _Batch:
+    """Forcing on one frame under a block of valuations at once. The
+    leading variables take the up-sets in `prefix`; valuation c gives the
+    trailing ones the up-sets that the base-u digits of c name. `env` maps
+    a variable to its extension; a variable it lacks holds nowhere."""
+
+    __slots__ = ("frame", "names", "prefix", "full", "env", "_ext", "_refuted")
+
+    def __init__(self, frame: _Frame, env: dict[str, list[int]], full: int, names=(), prefix=()):
+        self.frame, self.env, self.full = frame, env, full
+        self.names, self.prefix = names, prefix
+        self._ext: dict[Formula, list[int]] = {}
+        self._refuted: dict[tuple, int] = {}
+
+    def ext(self, f: Formula) -> list[int]:
+        """Per world, the valuations under which it forces f."""
+        cache = self._ext
+        got = cache.get(f)
         if got is not None:
             return got
-        if isinstance(g, Var):
-            mask = 0
-            for w in m.valuation.get(g.name, frozenset()):
-                mask |= 1 << w
-        elif isinstance(g, Bot):
-            mask = 0
-        elif isinstance(g, And):
-            mask = ext(g.left) & ext(g.right)
-        elif isinstance(g, Or):
-            mask = ext(g.left) | ext(g.right)
-        elif isinstance(g, Imp):
-            bad = ext(g.left) & ~ext(g.right) & full
-            mask = sum(1 << w for w in range(m.worlds) if not (up[w] & bad))
-        elif isinstance(g, Box):
-            bad = ~ext(g.body) & full
-            mask = sum(1 << w for w in range(m.worlds) if not (rm[w] & bad))
-        else:
-            raise TypeError(f"not a formula: {g!r}")
-        cache[g] = mask
-        return mask
+        frame, full = self.frame, self.full
+        todo = [f]
+        while todo:
+            g = todo[-1]
+            if g in cache:
+                todo.pop()
+                continue
+            if isinstance(g, Var):
+                out = self.env.get(g.name) or [0] * frame.n
+            elif isinstance(g, Bot):
+                out = [0] * frame.n
+            elif isinstance(g, Box):
+                b = cache.get(g.body)
+                if b is None:
+                    todo.append(g.body)
+                    continue
+                out = []
+                for succ in frame.succ:
+                    x = full
+                    for v in succ:
+                        x &= b[v]
+                    out.append(x)
+            elif isinstance(g, (And, Or, Imp)):
+                a, b = cache.get(g.left), cache.get(g.right)
+                if a is None or b is None:
+                    if a is None:
+                        todo.append(g.left)
+                    if b is None:
+                        todo.append(g.right)
+                    continue
+                if isinstance(g, And):
+                    out = [x & y for x, y in zip(a, b)]
+                elif isinstance(g, Or):
+                    out = [x | y for x, y in zip(a, b)]
+                else:
+                    ok = [full & ~x | y for x, y in zip(a, b)]
+                    out = []
+                    for up in frame.up:
+                        x = full
+                        for v in up:
+                            x &= ok[v]
+                        out.append(x)
+            else:
+                raise TypeError(f"not a formula: {g!r}")
+            cache[g] = out
+            todo.pop()
+        return cache[f]
+
+    def failing(self, s: Sequent) -> list[int]:
+        """Per world, the valuations under which it forces the whole
+        antecedent but not the succedent."""
+        full = self.full
+        bad = [full & ~x for x in self.ext(s.suc)]
+        for f in s.ant.distinct():
+            bad = [x & y for x, y in zip(bad, self.ext(f))]
+        return bad
+
+    def refuted(self, s: Sequent) -> int:
+        """The valuations under which some world refutes s; cached."""
+        key = (s.suc, s.ant.entries)
+        got = self._refuted.get(key)
+        if got is None:
+            got = 0
+            for x in self.failing(s):
+                got |= x
+            self._refuted[key] = got
+        return got
+
+    def models(self, start: int = 0) -> Iterator[KripkeModel]:
+        """The models of valuations start, start + 1, ... in enumeration
+        order, each evaluated through this batch."""
+        frame, names, prefix = self.frame, self.names, self.prefix
+        trailing = product(frame.upsets, repeat=len(names) - len(prefix))
+        for c, chosen in enumerate(islice(trailing, start, None), start):
+            # past the frozen dataclass's __init__, which sets each field
+            # through object.__setattr__ and copies the valuation
+            m = object.__new__(KripkeModel)
+            object.__setattr__(
+                m,
+                "__dict__",
+                {
+                    "worlds": frame.n,
+                    "leq": frame.leq,
+                    "r": frame.r,
+                    "valuation": dict(zip(names, prefix + chosen)),
+                    "_batch": self,
+                    "_column": c,
+                },
+            )
+            yield m
+
+
+def _batch_of(m: KripkeModel) -> tuple[_Batch, int]:
+    """m's batch and valuation number; a width-1 batch for a model that
+    was not enumerated, made once and kept on the model."""
+    fields = m.__dict__
+    batch = fields.get("_batch")
+    if batch is None:
+        n = m.worlds
+        env = {name: [1 if w in ws else 0 for w in range(n)] for name, ws in m.valuation.items()}
+        batch = fields["_batch"] = _Batch(_Frame(n, m.leq, m.r), env, 1)
+        fields["_column"] = 0
+    return batch, fields["_column"]
+
+
+def evaluator(m: KripkeModel) -> Callable[[Formula], int]:
+    """Forcing extensions as world bitmasks: bit w of ext(f) says whether
+    world w forces f. Each subformula is evaluated once per batch, for
+    every model sharing m's batch; this only extracts m's bits, once per
+    formula."""
+    batch, c = _batch_of(m)
+    column = 1 << c
+    cache: dict[Formula, int] = {}
+
+    def ext(f: Formula) -> int:
+        got = cache.get(f)
+        if got is None:
+            got, world = 0, 1
+            for x in batch.ext(f):
+                if x & column:
+                    got |= world
+                world <<= 1
+            cache[f] = got
+        return got
 
     return ext
 
@@ -125,16 +301,14 @@ def evaluator(m: KripkeModel) -> Callable[[Formula], int]:
 def forces(m: KripkeModel, w: int, f: Formula) -> bool:
     if not (0 <= w < m.worlds):
         raise ValueError(f"world {w} out of range")
-    return bool(evaluator(m)(f) >> w & 1)
+    batch, c = _batch_of(m)
+    return bool(batch.ext(f)[w] >> c & 1)
 
 
 def valid(m: KripkeModel, s: Sequent) -> bool:
     """Every world forcing the whole antecedent forces the succedent."""
-    ext = evaluator(m)
-    ants = (1 << m.worlds) - 1
-    for f in s.ant.distinct():
-        ants &= ext(f)
-    return not (ants & ~ext(s.suc))
+    batch, c = _batch_of(m)
+    return not (batch.refuted(s) >> c & 1)
 
 
 def _preorders(n: int) -> list[frozenset[tuple[int, int]]]:
@@ -172,20 +346,44 @@ def _upward_closed(n: int, leq: frozenset[tuple[int, int]]) -> list[frozenset[in
     return out
 
 
+@functools.cache
+def _frames(n: int) -> list[_Frame]:
+    """The frames on n worlds in enumeration order, built on first use."""
+    frames = []
+    for leq in sorted(_preorders(n), key=sorted):
+        ups = _upward_closed(n, leq)
+        for r in sorted(_modal_relations(n, leq), key=sorted):
+            frames.append(_Frame(n, leq, r, ups))
+    return frames
+
+
+def _batches(max_worlds: int, variables: Sequence[str], bound: int) -> Iterator[_Batch]:
+    """Batches covering every model of `enumerate_models`, in its order."""
+    if max_worlds > bound:
+        raise ValueError(f"max_worlds {max_worlds} exceeds the enumeration bound {bound}")
+    names = tuple(variables)
+    for n in range(1, max_worlds + 1):
+        for frame in _frames(n):
+            u = len(frame.upsets)
+            j = 0
+            while j < len(names) and u ** (j + 1) <= _MAX_WIDTH:
+                j += 1
+            lead = len(names) - j
+            full = (1 << u**j) - 1
+            digits = frame.digit_masks(j)
+            for prefix in product(frame.upsets, repeat=lead):
+                env = {name: [full if w in ws else 0 for w in range(n)] for name, ws in zip(names, prefix)}
+                env.update(zip(names[lead:], digits))
+                yield _Batch(frame, env, full, names, prefix)
+
+
 def enumerate_models(
     max_worlds: int, variables: Sequence[str], bound: int = ENUMERATION_BOUND
 ) -> Iterator[KripkeModel]:
     """Every model with 1..max_worlds worlds over the given variables, up to
     canonical world indexing, in a deterministic order."""
-    if max_worlds > bound:
-        raise ValueError(f"max_worlds {max_worlds} exceeds the enumeration bound {bound}")
-    names = list(variables)
-    for n in range(1, max_worlds + 1):
-        for leq in sorted(_preorders(n), key=sorted):
-            ups = _upward_closed(n, leq)
-            for r in sorted(_modal_relations(n, leq), key=sorted):
-                for chosen in product(ups, repeat=len(names)):
-                    yield KripkeModel(n, leq, r, dict(zip(names, chosen)))
+    for batch in _batches(max_worlds, variables, bound):
+        yield from batch.models()
 
 
 def find_countermodel(
@@ -194,18 +392,16 @@ def find_countermodel(
     variables: Optional[Sequence[str]] = None,
     bound: int = ENUMERATION_BOUND,
 ) -> Optional[tuple[KripkeModel, int]]:
-    """First (model, world) forcing the antecedent but not the succedent.
-    None only means nothing within the bound, not provability."""
+    """First (model, world) forcing the antecedent but not the succedent:
+    the first such model in `enumerate_models` order, and its lowest such
+    world. None only means nothing within the bound, not provability."""
     if variables is None:
         variables = sorted(sequent_variables(s))
-    for m in enumerate_models(max_worlds, variables, bound=bound):
-        ext = evaluator(m)
-        ants = (1 << m.worlds) - 1
-        for f in s.ant.distinct():
-            ants &= ext(f)
-        bad = ants & ~ext(s.suc)
-        if bad:
-            return m, (bad & -bad).bit_length() - 1
+    for batch in _batches(max_worlds, variables, bound):
+        hit = batch.refuted(s)
+        if hit:
+            c = (hit & -hit).bit_length() - 1
+            return next(batch.models(c)), next(w for w, x in enumerate(batch.failing(s)) if x >> c & 1)
     return None
 
 

@@ -213,6 +213,25 @@ def test_hilbert_check_cli(capsys, tmp_path):
     assert out.startswith("invalid:")
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [json.loads(hilbert_dumps(ax(frozenset(), AxiomId.A11, {"phi": Var("p")})))],
+        {"conclusion": 5, "rule": "axiom"},
+        {"conclusion": "p", "rule": "MP", "children": "p"},
+    ],
+    ids=["top-level-list", "conclusion-number", "children-string"],
+)
+def test_hilbert_derivation_of_the_wrong_shape_exits_2(capsys, tmp_path, obj):
+    path = tmp_path / "hilbert.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, out, err = run(capsys, "hilbert-check", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: malformed input: certificate")
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+
+
 def test_parse_errors_exit_2(capsys):
     code, _, err = run(capsys, "prove", "p ->")
     assert code == 2

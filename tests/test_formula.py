@@ -202,3 +202,8 @@ def test_deep_formulas_need_no_recursion():
     ms = Multiset.of(p, Box(f)).add(f).add(f)
     assert ms.count(f) == 2 and len(ms) == 4
     assert ms.remove(f).count(f) == 1
+    assert variables(f) == {"p", "q"}
+    shared = p
+    for _ in range(60):
+        shared = And(shared, Imp(shared, q))  # 2**60 paths, 121 nodes
+    assert variables(shared) == {"p", "q"}

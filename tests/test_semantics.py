@@ -1,11 +1,16 @@
 """Kripke model validation, forcing, enumeration, and countermodel search."""
 
+import copy
+import hashlib
+import json
+import pickle
 import random
 from itertools import combinations
 
 import pytest
 from genlib import formula, proved_proofs, random_sequent
 
+from islt import semantics
 from islt.formula import And, Bot, Box, Imp, Or, Var, parse_formula
 from islt.semantics import (
     ENUMERATION_BOUND,
@@ -19,7 +24,8 @@ from islt.semantics import (
     valid,
     validate_model,
 )
-from islt.sequent import Multiset, Sequent, parse_sequent
+from islt.sequent import Multiset, Sequent, parse_sequent, sequent
+from islt.sequent import variables as sequent_variables
 
 
 def chain2(p_at=(1,), r_pairs=((0, 1),)):
@@ -130,16 +136,50 @@ def test_forces_world_range():
         forces(chain2(), 2, Var("p"))
 
 
+def valid_slow(m, s):
+    return all(
+        forces_slow(m, w, s.suc)
+        for w in range(m.worlds)
+        if all(forces_slow(m, w, f) for f in s.ant.distinct())
+    )
+
+
+def _variants(m):
+    """m rebuilt by hand, through JSON, without its first variable, and
+    with an extra variable true everywhere."""
+    first = min(m.valuation)
+    yield KripkeModel(m.worlds, m.leq, m.r, dict(m.valuation))
+    yield model_from_json(model_to_json(m))
+    yield KripkeModel(m.worlds, m.leq, m.r, {k: v for k, v in m.valuation.items() if k != first})
+    yield KripkeModel(m.worlds, m.leq, m.r, {**m.valuation, "s": frozenset(range(m.worlds))})
+
+
 def test_evaluator_matches_slow_forcing():
     rng = random.Random(7)
     models = [m for m in enumerate_models(2, ["p", "q"]) if rng.randrange(4) == 0]
-    assert len(models) > 5
+    models += [m for m in enumerate_models(3, ["p", "q", "r"]) if rng.randrange(300) == 0]
+    assert len(models) > 50 and {m.worlds for m in models} == {1, 2, 3}
     for m in models:
-        for _ in range(30):
-            f = formula(rng, rng.randrange(4), ("p", "q"))
-            ext = evaluator(m)(f)
-            for w in range(m.worlds):
-                assert bool(ext >> w & 1) == forces_slow(m, w, f), (m, f, w)
+        for k in (m, *_variants(m)):
+            ext = evaluator(k)
+            for _ in range(8):
+                f = formula(rng, rng.randrange(4), ("p", "q", "r", "s"))
+                got = ext(f)
+                for w in range(k.worlds):
+                    assert bool(got >> w & 1) == forces(k, w, f) == forces_slow(k, w, f), (k, f, w)
+                s = random_sequent(rng, 2, max_ant=2, variables=("p", "q", "r", "s"))
+                assert valid(k, s) == valid_slow(k, s), (k, s)
+
+
+def test_enumerated_and_hand_built_models_are_one_value():
+    for m in enumerate_models(2, ["p", "q"]):
+        evaluator(m)(Var("p"))
+        hand = KripkeModel(m.worlds, m.leq, m.r, dict(m.valuation))
+        forces(hand, 0, Var("p"))
+        assert m == hand and hash(m) == hash(hand)
+        assert repr(m) == repr(hand) and model_to_json(m) == model_to_json(hand)
+        assert pickle.dumps(m) == pickle.dumps(hand)
+        assert pickle.loads(pickle.dumps(m)) == m == copy.deepcopy(m)
 
 
 def test_persistence_on_enumerated_models():
@@ -261,3 +301,55 @@ def test_model_json_roundtrip():
     assert obj["leq"] == [[0, 0], [0, 1], [1, 1]]
     assert obj["r"] == [[0, 1]]
     assert obj["valuation"] == {"p": [1]}
+
+
+# sha256 over each goal of countermodel_digest's corpus and find_countermodel's
+# answer to it, recorded before frame batching: the first model in
+# enumeration order and its lowest refuting world, or none
+COUNTERMODEL_DIGEST = "2434db442a9e2a2588679701cb02fc2e12d427b85074bc2cd8a2a452554e379d"
+
+
+def countermodel_digest(count):
+    rng = random.Random(11)
+    h = hashlib.sha256()
+    for _ in range(count):
+        s = random_sequent(rng, 3, max_ant=3, variables=("p", "q", "r"))
+        got = find_countermodel(s)
+        line = "none" if got is None else f"{json.dumps(model_to_json(got[0]), sort_keys=True)} {got[1]}"
+        h.update(f"{s} {line}\n".encode())
+    return h.hexdigest()
+
+
+def test_golden_countermodels():
+    assert countermodel_digest(400) == COUNTERMODEL_DIGEST
+
+
+def test_narrow_batches_change_nothing(monkeypatch):
+    rng = random.Random(13)
+    goals = [random_sequent(rng, 3, max_ant=2, variables=("p", "q", "r")) for _ in range(24)]
+
+    def answers():
+        names = {s: tuple(sorted(sequent_variables(s))) for s in goals}
+        models = {v: list(enumerate_models(3, v)) for v in set(names.values())}
+        valid_in = [[valid(m, s) for m in models[names[s]] if m.worlds < 3] for s in goals]
+        return [find_countermodel(s) for s in goals], models, valid_in
+
+    wide = answers()
+    # at most three valuations a batch: frames with two or three up-sets
+    # batch one trailing variable, larger ones none (batches of width 1)
+    monkeypatch.setattr(semantics, "_MAX_WIDTH", 3)
+    assert answers() == wide
+    assert None in wide[0] and len(set(wide[0])) > 2
+
+
+def test_deep_formulas_evaluate_without_recursion():
+    p, q = Var("p"), Var("q")
+    f = p
+    for i in range(20_000):
+        f = Imp(q, f) if i % 2 else Box(f)
+    m = chain2()
+    assert forces(m, 1, f) and evaluator(m)(f) == 0b11
+    assert valid(m, sequent([], f)) and not valid(m, sequent([f], q))
+    assert find_countermodel(sequent([], f), max_worlds=1) is None
+    m, w = find_countermodel(sequent([f], q), max_worlds=1)
+    assert (m.worlds, w, m.valuation) == (1, 0, {"p": frozenset(), "q": frozenset()})
