@@ -4,6 +4,12 @@ Rules are read backward: expand(s) lists every instance whose conclusion is
 s, one instance per (rule, principal value) pair. The split of an antecedent
 into non-boxed and boxed parts for BoxImpL and SLtR is always the maximal
 one, and check() rejects anything else.
+
+This module is the one place that says what each rule does to its
+conclusion: premises_of gives the premises of an instance, replacements
+what each premise of a context-keeping left rule puts in the principal's
+place. The transforms and cut elimination read their premise shapes from
+these two rather than restating them.
 """
 
 from __future__ import annotations
@@ -11,7 +17,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from typing import Optional
 
 from .formula import And, Bot, Box, Formula, Imp, Or, Var, parse_formula, print_formula, sort_key
@@ -39,12 +44,17 @@ class RuleId(str, Enum):
 LEFT_RULES = frozenset(
     {RuleId.AndL, RuleId.OrL, RuleId.AtomImpL, RuleId.AndImpL, RuleId.OrImpL, RuleId.ImpImpL, RuleId.BoxImpL}
 )
-ZERO_PREMISE = frozenset({RuleId.BotL, RuleId.IdP})
 # rules whose every premise is derivable whenever the conclusion is
 # (structural.invert); ImpImpL and BoxImpL have this only for the right premise
 INVERTIBLE = frozenset(
     {RuleId.AndL, RuleId.AndR, RuleId.OrL, RuleId.ImpR, RuleId.AtomImpL, RuleId.AndImpL, RuleId.OrImpL}
 )
+# rules whose right premise is derivable whenever the conclusion is
+# (structural.imp_imp_lir, structural.box_imp_lir), but not the left one
+RIGHT_INVERTIBLE = frozenset({RuleId.ImpImpL, RuleId.BoxImpL})
+# the invertible left rules: each premise keeps the conclusion's context and
+# succedent and puts pieces of the principal in its place (replacements)
+INVERTIBLE_LEFT = INVERTIBLE & LEFT_RULES
 
 
 class SchemaError(ValueError):
@@ -57,9 +67,10 @@ class RuleInstance:
     conclusion: Sequent
     principal: Optional[Formula] = None
 
-    @cached_property
+    @property
     def premises(self) -> tuple[Sequent, ...]:
-        """Built on first access, so search pays only for instances it tries."""
+        """Built on each access, so search pays only for instances it tries;
+        callers read it once."""
         return premises_of(self.rule, self.conclusion, self.principal)
 
 
@@ -81,6 +92,34 @@ class Violation:
         return f"at {where}: {self.reason}"
 
 
+def replacements(rule: RuleId, p: Optional[Formula]) -> tuple[tuple[Formula, ...], ...]:
+    """For AndL, OrL, AtomImpL, AndImpL or OrImpL with principal p: the
+    formulas each premise puts in p's place, premise by premise, in schema
+    order. SchemaError when p has the wrong shape for the rule."""
+    if rule is RuleId.AndL:
+        if not isinstance(p, And):
+            raise SchemaError("AndL principal must be a conjunction")
+        return ((p.left, p.right),)
+    if rule is RuleId.OrL:
+        if not isinstance(p, Or):
+            raise SchemaError("OrL principal must be a disjunction")
+        return ((p.left,), (p.right,))
+    head = p.left if isinstance(p, Imp) else None
+    if rule is RuleId.AtomImpL:
+        if not isinstance(head, Var):
+            raise SchemaError("AtomImpL principal must be an implication with atomic antecedent")
+        return ((p.right,),)
+    if rule is RuleId.AndImpL:
+        if not isinstance(head, And):
+            raise SchemaError("AndImpL principal must have a conjunction antecedent")
+        return ((Imp(head.left, Imp(head.right, p.right)),),)
+    if rule is RuleId.OrImpL:
+        if not isinstance(head, Or):
+            raise SchemaError("OrImpL principal must have a disjunction antecedent")
+        return ((Imp(head.left, p.right), Imp(head.right, p.right)),)
+    raise SchemaError(f"{rule.value} does not replace its principal in place")
+
+
 def premises_of(rule: RuleId, conclusion: Sequent, principal: Optional[Formula]) -> tuple[Sequent, ...]:
     """The unique premise list of a rule instance, or SchemaError."""
     ant, suc = conclusion.ant, conclusion.suc
@@ -100,21 +139,23 @@ def premises_of(rule: RuleId, conclusion: Sequent, principal: Optional[Formula])
         if not isinstance(suc, Var) or suc not in ant:
             raise SchemaError("IdP needs an atomic succedent present in the antecedent")
         return ()
-    if rule is RuleId.AndL:
+    if rule in INVERTIBLE_LEFT:
         p = need_principal()
-        if not isinstance(p, And):
-            raise SchemaError("AndL principal must be a conjunction")
-        return (Sequent(ant.remove(p).add(p.left).add(p.right), suc),)
+        parts = replacements(rule, p)
+        if rule is RuleId.AtomImpL and p.left not in ant:
+            raise SchemaError("AtomImpL needs the atom alongside the implication")
+        rest = ant.remove(p)
+        out = []
+        for pieces in parts:
+            a = rest
+            for x in pieces:
+                a = a.add(x)
+            out.append(Sequent(a, suc))
+        return tuple(out)
     if rule is RuleId.AndR:
         if not isinstance(suc, And):
             raise SchemaError("AndR needs a conjunction succedent")
         return (Sequent(ant, suc.left), Sequent(ant, suc.right))
-    if rule is RuleId.OrL:
-        p = need_principal()
-        if not isinstance(p, Or):
-            raise SchemaError("OrL principal must be a disjunction")
-        rest = ant.remove(p)
-        return (Sequent(rest.add(p.left), suc), Sequent(rest.add(p.right), suc))
     if rule is RuleId.OrR1:
         if not isinstance(suc, Or):
             raise SchemaError("OrR1 needs a disjunction succedent")
@@ -123,29 +164,10 @@ def premises_of(rule: RuleId, conclusion: Sequent, principal: Optional[Formula])
         if not isinstance(suc, Or):
             raise SchemaError("OrR2 needs a disjunction succedent")
         return (Sequent(ant, suc.right),)
-    if rule is RuleId.AtomImpL:
-        p = need_principal()
-        if not isinstance(p, Imp) or not isinstance(p.left, Var):
-            raise SchemaError("AtomImpL principal must be an implication with atomic antecedent")
-        if p.left not in ant:
-            raise SchemaError("AtomImpL needs the atom alongside the implication")
-        return (Sequent(ant.remove(p).add(p.right), suc),)
     if rule is RuleId.ImpR:
         if not isinstance(suc, Imp):
             raise SchemaError("ImpR needs an implication succedent")
         return (Sequent(ant.add(suc.left), suc.right),)
-    if rule is RuleId.AndImpL:
-        p = need_principal()
-        if not isinstance(p, Imp) or not isinstance(p.left, And):
-            raise SchemaError("AndImpL principal must have a conjunction antecedent")
-        curried = Imp(p.left.left, Imp(p.left.right, p.right))
-        return (Sequent(ant.remove(p).add(curried), suc),)
-    if rule is RuleId.OrImpL:
-        p = need_principal()
-        if not isinstance(p, Imp) or not isinstance(p.left, Or):
-            raise SchemaError("OrImpL principal must have a disjunction antecedent")
-        rest = ant.remove(p)
-        return (Sequent(rest.add(Imp(p.left.left, p.right)).add(Imp(p.left.right, p.right)), suc),)
     if rule is RuleId.ImpImpL:
         p = need_principal()
         if not isinstance(p, Imp) or not isinstance(p.left, Imp):

@@ -3,8 +3,9 @@
 Exit codes are uniform across subcommands: 0 for provable, valid, or
 found; 1 for unprovable, invalid, or no countermodel within the bound;
 2 for usage errors, malformed input (input nested too deeply for the
-recursive parser, printer or search included), and budget aborts. Output
-for a fixed invocation is byte-identical across runs.
+recursive parser, printer or search included), paths that cannot be read or
+written, and budget aborts. Output for a fixed invocation is byte-identical
+across runs.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except FileNotFoundError as e:
+    except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (json.JSONDecodeError, KeyError, ValueError) as e:

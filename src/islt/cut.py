@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .calculus import (
-    INVERTIBLE,
+    INVERTIBLE_LEFT,
     LEFT_RULES,
+    RIGHT_INVERTIBLE,
     Derivation,
     RuleId,
     botl,
@@ -26,11 +27,10 @@ from .calculus import (
     node,
     uses_cut,
 )
-from .formula import Box, Formula, Imp, print_formula, weight
+from .formula import Formula, Imp, print_formula, weight
 from .measure import Theta, shortlex_less, theta
-from .sequent import Multiset, Sequent
+from .sequent import Multiset, Sequent, boxed_occurrences
 from .structural import (
-    _invert_imp_r,
     box_imp_lir,
     contract,
     id_general,
@@ -40,8 +40,6 @@ from .structural import (
     unbox_left,
     weaken,
 )
-
-_INVERTIBLE_LEFT = INVERTIBLE & LEFT_RULES
 
 
 class CutError(ValueError):
@@ -109,15 +107,9 @@ def _recursion_limit(depth: int):
         sys.setrecursionlimit(before)
 
 
-def cut_admissible(
-    instance: CutInstance,
-    debug: bool = False,
-    log: Optional[list] = None,
-    validate: bool = True,
-) -> Derivation:
+def cut_admissible(instance: CutInstance, debug: bool = False, log: Optional[list] = None) -> Derivation:
     """A cut-free proof of the instance's conclusion."""
-    if validate:
-        instance.validate()
+    instance.validate()
     with _recursion_limit(100000):
         return _cut(instance.left, instance.right, None, debug, log)
 
@@ -157,21 +149,13 @@ def _cut(
         return contract(d2, phi)
     if r1 is RuleId.BotL:
         return botl(conclusion)
-    if r1 in _INVERTIBLE_LEFT:
+    if r1 in LEFT_RULES:
         pi = d1.principal
+        if r1 in RIGHT_INVERTIBLE:
+            lir = imp_imp_lir if r1 is RuleId.ImpImpL else box_imp_lir
+            return node(r1, conclusion, pi, d1.children[0], go(d1.children[1], lir(d2, pi)))
         mirrored = invert(r1, d2, pi)
-        subs = [go(c, m) for c, m in zip(d1.children, mirrored)]
-        return node(r1, conclusion, pi, *subs)
-    if r1 is RuleId.ImpImpL:
-        pi = d1.principal
-        adj = imp_imp_lir(d2, pi)
-        sub = go(d1.children[1], adj)
-        return node(RuleId.ImpImpL, conclusion, pi, d1.children[0], sub)
-    if r1 is RuleId.BoxImpL:
-        pi = d1.principal
-        adj = box_imp_lir(d2, pi)
-        sub = go(d1.children[1], adj)
-        return node(RuleId.BoxImpL, conclusion, pi, d1.children[0], sub)
+        return node(r1, conclusion, pi, *(go(c, m) for c, m in zip(d1.children, mirrored)))
 
     # principal on the left: the cut formula was just introduced
     if r1 is RuleId.AndR:
@@ -194,8 +178,6 @@ def _cut_imp_r(d1: Derivation, d2: Derivation, go) -> Derivation:
     """Left premise ends in ImpR; the cut formula is an implication."""
     ctx = d1.root.ant
     phi = d1.root.suc
-    goal = d2.root.suc
-    conclusion = Sequent(ctx, goal)
     p0, p1 = phi.left, phi.right
     d1p = d1.children[0]
     r2 = d2.rule
@@ -238,8 +220,7 @@ def _cut_imp_r(d1: Derivation, d2: Derivation, go) -> Derivation:
         if r2 is RuleId.BoxImpL:
             # phi = []x -> y; rebuild []x under the strong rule, then cut twice
             left2, right2 = d2.children
-            boxed = _boxed_occurrences(ctx)
-            s1 = unbox_left(d1p, boxed)
+            s1 = unbox_left(d1p, boxed_occurrences(ctx))
             s2 = go(s1, left2)
             s3 = node(RuleId.SLtR, Sequent(ctx, p0), None, s2)
             s4 = go(s3, d1p)
@@ -255,7 +236,6 @@ def _cut_sltr(d1: Derivation, d2: Derivation, go) -> Derivation:
     phi = d1.root.suc
     goal = d2.root.suc
     conclusion = Sequent(ctx, goal)
-    f0 = phi.body
     loop = d1.children[0]
     r2 = d2.rule
 
@@ -263,7 +243,7 @@ def _cut_sltr(d1: Derivation, d2: Derivation, go) -> Derivation:
         pi = d2.principal
         left2, right2 = d2.children
         rest = ctx.remove(pi)
-        rest_boxed = _boxed_occurrences(rest)
+        rest_boxed = boxed_occurrences(rest)
         # left branch: derive the unboxed premise by two nested cuts
         x2 = unbox_left(d1, rest_boxed)
         x3 = weaken(x2, pi.left)
@@ -280,7 +260,7 @@ def _cut_sltr(d1: Derivation, d2: Derivation, go) -> Derivation:
 
     if r2 is RuleId.SLtR:
         p2 = d2.children[0]
-        stripped = unbox_left(d1, _boxed_occurrences(ctx))
+        stripped = unbox_left(d1, boxed_occurrences(ctx))
         a = weaken(stripped, goal)
         b = weaken(loop, goal)
         c = weaken(p2, phi)
@@ -289,14 +269,6 @@ def _cut_sltr(d1: Derivation, d2: Derivation, go) -> Derivation:
         return node(RuleId.SLtR, conclusion, None, e)
 
     return _commute_right_rule(d1, d2, go)
-
-
-def _boxed_occurrences(ms: Multiset) -> list[Formula]:
-    out: list[Formula] = []
-    for f, n in ms.entries:
-        if isinstance(f, Box):
-            out.extend([f] * n)
-    return out
 
 
 def _commute_right_rule(d1: Derivation, d2: Derivation, go) -> Derivation:
@@ -320,7 +292,7 @@ def _commute_right_rule(d1: Derivation, d2: Derivation, go) -> Derivation:
         return node(RuleId.AndR, conclusion, None, *subs)
     if r2 in (RuleId.OrR1, RuleId.OrR2):
         return node(r2, conclusion, None, go(d1, d2.children[0]))
-    if r2 in _INVERTIBLE_LEFT:
+    if r2 in INVERTIBLE_LEFT:
         pi = d2.principal
         mirrored = invert(r2, d1, pi)
         subs = [go(m, c) for m, c in zip(mirrored, d2.children)]
@@ -333,7 +305,7 @@ def _commute_right_rule(d1: Derivation, d2: Derivation, go) -> Derivation:
         rest = ctx.remove(pi)
         nb = go(imp_imp_lir(d1, pi), right2)
         spread = contract(imp_imp_lil(d1, pi), yz)
-        opened = _invert_imp_r(left2)
+        opened = invert(RuleId.ImpR, left2)[0]
         inner = go(spread, opened)
         na = node(RuleId.ImpR, Sequent(rest.add(yz), pi.left), None, inner)
         return node(RuleId.ImpImpL, conclusion, pi, na, nb)
@@ -344,10 +316,10 @@ def _commute_right_rule(d1: Derivation, d2: Derivation, go) -> Derivation:
         left2, right2 = d2.children
         rest = ctx.remove(pi)
         nb = go(box_imp_lir(d1, pi), right2)
-        c0 = _invert_imp_r(d1)
+        c0 = invert(RuleId.ImpR, d1)[0]
         c1 = weaken(c0, pi.left)
         c2 = box_imp_lir(c1, pi)
-        c3 = unbox_left(c2, _boxed_occurrences(rest))
+        c3 = unbox_left(c2, boxed_occurrences(rest))
         rebuilt = node(
             RuleId.ImpR,
             Sequent(left2.root.ant.remove(phi), phi),
@@ -359,7 +331,7 @@ def _commute_right_rule(d1: Derivation, d2: Derivation, go) -> Derivation:
     if r2 is RuleId.SLtR:
         assert isinstance(phi, Imp), print_formula(phi)
         p2 = d2.children[0]
-        stripped = unbox_left(d1, _boxed_occurrences(ctx))
+        stripped = unbox_left(d1, boxed_occurrences(ctx))
         sub = go(weaken(stripped, goal), p2)
         return node(RuleId.SLtR, conclusion, None, sub)
     raise CutError(f"unexpected right rule {r2.value}")

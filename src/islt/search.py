@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .calculus import INVERTIBLE, Derivation, RuleId, expand
+from .calculus import INVERTIBLE, RIGHT_INVERTIBLE, Derivation, RuleId, expand
 from .formula import Formula
 from .measure import shortlex_less, theta
 from .sequent import Multiset, Sequent
@@ -70,16 +70,12 @@ _PRIORITY = {
 }
 
 
-# the right premise is invertible, the left one is not
-_RIGHT_INVERTIBLE = frozenset({RuleId.ImpImpL, RuleId.BoxImpL})
-
-
 def _plan(rule: RuleId, n: int) -> tuple[tuple[int, ...], int]:
     """Committed search order of a rule's n premises, and how many of the
     leading ones are invertible: the failure of one of those is final."""
     if rule in INVERTIBLE:
         return tuple(range(n)), n
-    if rule in _RIGHT_INVERTIBLE:
+    if rule in RIGHT_INVERTIBLE:
         return (1, 0), 1
     return tuple(range(n)), 0
 

@@ -111,6 +111,11 @@ def partition_boxed(a: Multiset) -> tuple[Multiset, Multiset]:
     )
 
 
+def boxed_occurrences(a: Multiset) -> list[Formula]:
+    """The boxed occurrences of a, repeats included, in canonical order."""
+    return [f for f in a if isinstance(f, Box)]
+
+
 def unbox_one_level(a: Multiset) -> Multiset:
     """Strip one box from every boxed occurrence, keep the rest."""
     phi, gamma = partition_boxed(a)

@@ -6,6 +6,12 @@ imp_imp_lir and the invert family never increase height; contract,
 imp_imp_lil, imp_left and id_general may. Exchange needs no transform at
 all: antecedents are canonical multisets.
 
+Premise shapes come from the calculus: a node is rebuilt at its new
+conclusion by recursing into its premises, where the only rule-specific
+fact is whether premise i strips a box (_strips_box); left inversion takes
+its pieces from calculus.replacements and right inversion its targets from
+calculus.premises_of.
+
 Throughout, a principal occurrence is designated by formula value; under
 multiset semantics equal occurrences are interchangeable, so nothing more
 precise exists to designate.
@@ -13,17 +19,21 @@ precise exists to designate.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .calculus import (
     INVERTIBLE,
+    INVERTIBLE_LEFT,
     LEFT_RULES,
-    ZERO_PREMISE,
+    RIGHT_INVERTIBLE,
     Derivation,
     RuleId,
+    SchemaError,
     botl,
     idp,
     node,
+    premises_of,
+    replacements,
 )
 from .formula import And, Bot, Box, Formula, Imp, Or, Var, print_formula
 from .sequent import Multiset, Sequent, unbox_one_level
@@ -45,22 +55,22 @@ class TransformError(ValueError):
     """A transform was applied outside its precondition."""
 
 
+_BOX_STRIPPING = frozenset({RuleId.SLtR, RuleId.BoxImpL})
+
+
+def _strips_box(rule: RuleId, i: int) -> bool:
+    """Whether premise i of rule holds the conclusion's boxed antecedent
+    occurrences one box down: the premise of SLtR, the left one of BoxImpL."""
+    return i == 0 and rule in _BOX_STRIPPING
+
+
 def weaken(p: Derivation, f: Formula) -> Derivation:
-    """Add one antecedent occurrence of f; height preserving. Under SLtR
-    and the left premise of BoxImpL a boxed f arrives unboxed."""
+    """Add one antecedent occurrence of f; height preserving. In premises
+    that strip a box a boxed f arrives unboxed."""
     target = Sequent(p.root.ant.add(f), p.root.suc)
-    rule = p.rule
-    if rule in ZERO_PREMISE:
-        return node(rule, target, None)
-    if rule is RuleId.SLtR:
-        inner = f.body if isinstance(f, Box) else f
-        return node(rule, target, None, weaken(p.children[0], inner))
-    if rule is RuleId.BoxImpL:
-        inner = f.body if isinstance(f, Box) else f
-        return node(
-            rule, target, p.principal, weaken(p.children[0], inner), weaken(p.children[1], f)
-        )
-    return node(rule, target, p.principal, *(weaken(c, f) for c in p.children))
+    inner = f.body if isinstance(f, Box) else f
+    children = [weaken(c, inner if _strips_box(p.rule, i) else f) for i, c in enumerate(p.children)]
+    return Derivation(target, p.rule, p.principal, tuple(children))
 
 
 def weaken_many(p: Derivation, fs: Iterable[Formula]) -> Derivation:
@@ -84,25 +94,17 @@ def unbox_left(p: Derivation, designated: Iterable[Formula]) -> Derivation:
         raise TransformError(str(e)) from None
     bodies = [f.body for f in des]
     target = Sequent(stripped.union(Multiset.from_iterable(bodies)), p.root.suc)
-    rule = p.rule
-    if rule in ZERO_PREMISE:
-        return node(rule, target, None)
-    # in unboxed premise positions the designated occurrences already lost
-    # one box; only still-boxed bodies need further stripping there
+    # in premises that strip a box the designated occurrences already lost
+    # one; only still-boxed bodies need further stripping there
     deeper = [b for b in bodies if isinstance(b, Box)]
-    if rule is RuleId.SLtR:
-        return node(rule, target, None, unbox_left(p.children[0], deeper))
-    if rule is RuleId.BoxImpL:
-        left = unbox_left(p.children[0], deeper)
-        right = unbox_left(p.children[1], des)
-        return node(rule, target, p.principal, left, right)
-    return node(rule, target, p.principal, *(unbox_left(c, des) for c in p.children))
+    children = [unbox_left(c, deeper if _strips_box(p.rule, i) else des) for i, c in enumerate(p.children)]
+    return Derivation(target, p.rule, p.principal, tuple(children))
 
 
 def _commute_replace(
     p: Derivation,
     pi: Formula,
-    pieces: list[Formula],
+    pieces: Sequence[Formula],
     on_principal: Callable[[Derivation], Derivation],
 ) -> Derivation:
     """Replace one antecedent occurrence of the non-boxed composite pi by
@@ -112,68 +114,43 @@ def _commute_replace(
         p.root.ant.remove(pi).union(Multiset.from_iterable(pieces)), p.root.suc
     )
     rule = p.rule
-    if rule in ZERO_PREMISE:
-        # pi is neither falsum nor an atom, so the closing condition survives
-        return node(rule, target, None)
     if rule in LEFT_RULES and p.principal == pi:
         return on_principal(p)
-    boxed_pieces = [x for x in pieces if isinstance(x, Box)]
-    if rule is RuleId.SLtR:
-        child = _commute_replace(p.children[0], pi, pieces, on_principal)
-        return node(rule, target, None, unbox_left(child, boxed_pieces))
-    if rule is RuleId.BoxImpL:
-        left = _commute_replace(p.children[0], pi, pieces, on_principal)
-        left = unbox_left(left, boxed_pieces)
-        right = _commute_replace(p.children[1], pi, pieces, on_principal)
-        return node(rule, target, p.principal, left, right)
-    children = (_commute_replace(c, pi, pieces, on_principal) for c in p.children)
-    return node(rule, target, p.principal, *children)
+    # pi is neither falsum nor an atom, so a leaf's closing condition
+    # survives; in premises that strip a box boxed pieces arrive unboxed
+    children = []
+    for i, c in enumerate(p.children):
+        c = _commute_replace(c, pi, pieces, on_principal)
+        if _strips_box(rule, i):
+            c = unbox_left(c, [x for x in pieces if isinstance(x, Box)])
+        children.append(c)
+    return Derivation(target, rule, p.principal, tuple(children))
 
 
-def _commute_right(
-    p: Derivation,
-    extra: list[Formula],
-    new_suc: Formula,
-    recurse: Callable[[Derivation], Derivation],
-) -> Derivation:
-    """Rebuild p's root left rule at (ant + extra => new_suc), recursing
-    into succedent-carrying premises and weakening the side premises."""
-    target = Sequent(p.root.ant.union(Multiset.from_iterable(extra)), new_suc)
-    rule = p.rule
-    if rule is RuleId.BotL:
-        return botl(target)
-    if rule is RuleId.ImpImpL:
-        left = weaken_many(p.children[0], extra)
-        return node(rule, target, p.principal, left, recurse(p.children[1]))
-    if rule is RuleId.BoxImpL:
-        left = p.children[0]
-        for x in extra:
-            left = weaken(left, x.body if isinstance(x, Box) else x)
-        return node(rule, target, p.principal, left, recurse(p.children[1]))
-    if rule in LEFT_RULES:
-        return node(rule, target, p.principal, *(recurse(c) for c in p.children))
-    raise TransformError(f"cannot commute past {rule.value} here")
+def _replace_into(p: Derivation, pi: Formula, pieces: Sequence[Formula], i: int) -> Derivation:
+    """Replace one antecedent occurrence of pi by pieces, taking premise i
+    where pi is principal: inversion into premise i of pi's left rule."""
+    if pi not in p.root.ant:
+        raise TransformError("principal occurrence missing")
+    return _commute_replace(p, pi, pieces, lambda n: n.children[i])
 
 
-def _invert_imp_r(p: Derivation) -> Derivation:
-    """From a proof of G => a -> b to a proof of G, a => b."""
-    suc = p.root.suc
-    if not isinstance(suc, Imp):
-        raise TransformError("succedent is not an implication")
-    if p.rule is RuleId.ImpR:
-        return p.children[0]
-    return _commute_right(p, [suc.left], suc.right, _invert_imp_r)
-
-
-def _invert_and_r(p: Derivation, which: int) -> Derivation:
-    """From a proof of G => a /\\ b to a proof of G => a (or => b)."""
-    suc = p.root.suc
-    if not isinstance(suc, And):
-        raise TransformError("succedent is not a conjunction")
-    if p.rule is RuleId.AndR:
-        return p.children[which]
-    part = suc.left if which == 0 else suc.right
-    return _commute_right(p, [], part, lambda c: _invert_and_r(c, which))
+def _invert_right(p: Derivation, rule: RuleId, i: int) -> Derivation:
+    """Premise i of the ImpR or AndR instance at p's root. Where p ends in
+    that rule this is p's own premise; else p's left rule is rebuilt at it,
+    inverting the premises that keep p's succedent in turn and weakening the
+    side premise of ImpImpL or BoxImpL by what premise i adds on the left."""
+    if p.rule is rule:
+        return p.children[i]
+    if p.rule not in LEFT_RULES and p.rule is not RuleId.BotL:
+        raise TransformError(f"cannot commute past {p.rule.value} here")
+    target = premises_of(rule, p.root, None)[i]
+    side = p.rule in RIGHT_INVERTIBLE
+    children = [c if side and k == 0 else _invert_right(c, rule, i) for k, c in enumerate(p.children)]
+    if side:
+        for x in target.ant.remove_all(p.root.ant):
+            children[0] = weaken(children[0], x.body if isinstance(x, Box) and _strips_box(p.rule, 0) else x)
+    return Derivation(target, p.rule, p.principal, tuple(children))
 
 
 def invert(rule: RuleId, p: Derivation, principal: Optional[Formula] = None) -> list[Derivation]:
@@ -181,39 +158,16 @@ def invert(rule: RuleId, p: Derivation, principal: Optional[Formula] = None) -> 
     rule instance at p's root. Only the invertible rules qualify."""
     if rule not in INVERTIBLE:
         raise TransformError(f"{rule.value} is not invertible")
-    if rule is RuleId.AndR:
-        return [_invert_and_r(p, 0), _invert_and_r(p, 1)]
-    if rule is RuleId.ImpR:
-        return [_invert_imp_r(p)]
-    if principal is None or principal not in p.root.ant:
-        raise TransformError("left inversion needs a principal occurrence in the antecedent")
-    first_child = lambda n: n.children[0]
-    if rule is RuleId.AndL:
-        if not isinstance(principal, And):
-            raise TransformError("AndL inversion needs a conjunction")
-        return [_commute_replace(p, principal, [principal.left, principal.right], first_child)]
-    if rule is RuleId.OrL:
-        if not isinstance(principal, Or):
-            raise TransformError("OrL inversion needs a disjunction")
-        return [
-            _commute_replace(p, principal, [principal.left], lambda n: n.children[0]),
-            _commute_replace(p, principal, [principal.right], lambda n: n.children[1]),
-        ]
-    if rule is RuleId.AtomImpL:
-        if not (isinstance(principal, Imp) and isinstance(principal.left, Var)):
-            raise TransformError("AtomImpL inversion needs an atomic implication")
-        return [_commute_replace(p, principal, [principal.right], first_child)]
-    if rule is RuleId.AndImpL:
-        if not (isinstance(principal, Imp) and isinstance(principal.left, And)):
-            raise TransformError("AndImpL inversion needs a conjunction-headed implication")
-        curried = Imp(principal.left.left, Imp(principal.left.right, principal.right))
-        return [_commute_replace(p, principal, [curried], first_child)]
-    if rule is RuleId.OrImpL:
-        if not (isinstance(principal, Imp) and isinstance(principal.left, Or)):
-            raise TransformError("OrImpL inversion needs a disjunction-headed implication")
-        pieces = [Imp(principal.left.left, principal.right), Imp(principal.left.right, principal.right)]
-        return [_commute_replace(p, principal, pieces, first_child)]
-    raise TransformError(f"{rule.value} is not invertible")
+    try:
+        if rule in LEFT_RULES:
+            parts = replacements(rule, principal)
+            return [_replace_into(p, principal, pieces, i) for i, pieces in enumerate(parts)]
+        if p.rule is rule:
+            return list(p.children)
+        n = len(premises_of(rule, p.root, None))
+    except SchemaError as e:
+        raise TransformError(str(e)) from None
+    return [_invert_right(p, rule, i) for i in range(n)]
 
 
 def box_imp_lir(p: Derivation, principal: Formula) -> Derivation:
@@ -221,9 +175,7 @@ def box_imp_lir(p: Derivation, principal: Formula) -> Derivation:
     preserving (inversion into the right premise of BoxImpL)."""
     if not (isinstance(principal, Imp) and isinstance(principal.left, Box)):
         raise TransformError("needs a box-headed implication")
-    if principal not in p.root.ant:
-        raise TransformError("principal occurrence missing")
-    return _commute_replace(p, principal, [principal.right], lambda n: n.children[1])
+    return _replace_into(p, principal, [principal.right], 1)
 
 
 def imp_imp_lir(p: Derivation, principal: Formula) -> Derivation:
@@ -231,9 +183,7 @@ def imp_imp_lir(p: Derivation, principal: Formula) -> Derivation:
     preserving (inversion into the right premise of ImpImpL)."""
     if not (isinstance(principal, Imp) and isinstance(principal.left, Imp)):
         raise TransformError("needs an implication-headed implication")
-    if principal not in p.root.ant:
-        raise TransformError("principal occurrence missing")
-    return _commute_replace(p, principal, [principal.right], lambda n: n.children[1])
+    return _replace_into(p, principal, [principal.right], 1)
 
 
 def imp_imp_lil(p: Derivation, principal: Formula) -> Derivation:
@@ -248,7 +198,7 @@ def imp_imp_lil(p: Derivation, principal: Formula) -> Derivation:
     bc = Imp(b, c)
 
     def on_principal(n: Derivation) -> Derivation:
-        premise_goal = _invert_imp_r(n.children[0])
+        premise_goal = invert(RuleId.ImpR, n.children[0])[0]
         side = weaken(weaken(n.children[1], a), bc)
         return imp_left(premise_goal, side)
 
@@ -371,18 +321,14 @@ def imp_left(p1: Derivation, p2: Derivation) -> Derivation:
 
     # commute past p1's left rule, adjusting p2 into the same context
     pi = p1.principal
-    if rule in (RuleId.AndL, RuleId.OrL, RuleId.AtomImpL, RuleId.AndImpL, RuleId.OrImpL):
+    if rule in INVERTIBLE_LEFT:
         adjusted = invert(rule, p2, pi)
         subs = [imp_left(c, adj) for c, adj in zip(p1.children, adjusted)]
         return node(rule, target, pi, *subs)
-    if rule is RuleId.ImpImpL:
-        adj = imp_imp_lir(p2, pi)
-        sub = imp_left(p1.children[1], adj)
-        return node(RuleId.ImpImpL, target, pi, weaken(p1.children[0], fg), sub)
-    if rule is RuleId.BoxImpL:
-        adj = box_imp_lir(p2, pi)
-        sub = imp_left(p1.children[1], adj)
-        return node(RuleId.BoxImpL, target, pi, weaken(p1.children[0], fg), sub)
+    if rule in RIGHT_INVERTIBLE:
+        lir = imp_imp_lir if rule is RuleId.ImpImpL else box_imp_lir
+        sub = imp_left(p1.children[1], lir(p2, pi))
+        return node(rule, target, pi, weaken(p1.children[0], fg), sub)
     raise TransformError(f"cannot commute imp_left past {rule.value}")
 
 
@@ -394,19 +340,11 @@ def contract(p: Derivation, f: Formula) -> Derivation:
         raise TransformError(f"need two occurrences of {print_formula(f)} to contract")
     target = Sequent(ant.remove(f), p.root.suc)
     rule = p.rule
-    if rule in ZERO_PREMISE:
-        return node(rule, target, None)
     if rule in LEFT_RULES and p.principal == f:
         return _contract_principal(p, f, target)
-    if rule is RuleId.SLtR:
-        inner = f.body if isinstance(f, Box) else f
-        return node(rule, target, None, contract(p.children[0], inner))
-    if rule is RuleId.BoxImpL:
-        inner = f.body if isinstance(f, Box) else f
-        left = contract(p.children[0], inner)
-        right = contract(p.children[1], f)
-        return node(rule, target, p.principal, left, right)
-    return node(rule, target, p.principal, *(contract(c, f) for c in p.children))
+    inner = f.body if isinstance(f, Box) else f
+    children = [contract(c, inner if _strips_box(rule, i) else f) for i, c in enumerate(p.children)]
+    return Derivation(target, rule, p.principal, tuple(children))
 
 
 def _contract_principal(p: Derivation, f: Formula, target: Sequent) -> Derivation:
@@ -414,40 +352,25 @@ def _contract_principal(p: Derivation, f: Formula, target: Sequent) -> Derivatio
     invert the copy inside the premises, contract the strictly lighter
     pieces, and reapply the rule."""
     rule = p.rule
-    if rule is RuleId.AndL:
-        a, b = f.left, f.right
-        inv = invert(RuleId.AndL, p.children[0], f)[0]
-        return node(rule, target, f, contract(contract(inv, a), b))
-    if rule is RuleId.OrL:
-        a, b = f.left, f.right
-        ia = invert(RuleId.OrL, p.children[0], f)[0]
-        ib = invert(RuleId.OrL, p.children[1], f)[1]
-        return node(rule, target, f, contract(ia, a), contract(ib, b))
-    if rule is RuleId.AtomImpL:
-        c = f.right
-        inv = invert(RuleId.AtomImpL, p.children[0], f)[0]
-        return node(rule, target, f, contract(inv, c))
-    if rule is RuleId.AndImpL:
-        piece = Imp(f.left.left, Imp(f.left.right, f.right))
-        inv = invert(RuleId.AndImpL, p.children[0], f)[0]
-        return node(rule, target, f, contract(inv, piece))
-    if rule is RuleId.OrImpL:
-        g1, g2 = Imp(f.left.left, f.right), Imp(f.left.right, f.right)
-        inv = invert(RuleId.OrImpL, p.children[0], f)[0]
-        return node(rule, target, f, contract(contract(inv, g1), g2))
-    if rule is RuleId.ImpImpL:
-        a, b, c = f.left.left, f.left.right, f.right
-        bc = Imp(b, c)
-        opened = _invert_imp_r(p.children[0])
-        spread = imp_imp_lil(opened, f)
-        spread = contract(contract(contract(spread, a), bc), bc)
-        rest = target.ant.remove(f)
-        left = node(RuleId.ImpR, Sequent(rest.add(bc), f.left), None, spread)
-        right = contract(imp_imp_lir(p.children[1], f), c)
-        return node(rule, target, f, left, right)
+    if rule in INVERTIBLE_LEFT:
+        subs = []
+        for i, pieces in enumerate(replacements(rule, f)):
+            sub = _replace_into(p.children[i], f, pieces, i)
+            for x in pieces:
+                sub = contract(sub, x)
+            subs.append(sub)
+        return node(rule, target, f, *subs)
+    # ImpImpL or BoxImpL: the right premise replaced f by f.right and still
+    # holds the copy; invert that into f.right as well and contract
+    right = contract(_replace_into(p.children[1], f, [f.right], 1), f.right)
     if rule is RuleId.BoxImpL:
-        d = f.right
-        left = contract(box_imp_lir(p.children[0], f), d)
-        right = contract(box_imp_lir(p.children[1], f), d)
+        left = contract(box_imp_lir(p.children[0], f), f.right)
         return node(rule, target, f, left, right)
-    raise TransformError(f"{rule.value} cannot have a principal occurrence")
+    a, b = f.left.left, f.left.right
+    bc = Imp(b, f.right)
+    opened = invert(RuleId.ImpR, p.children[0])[0]
+    spread = imp_imp_lil(opened, f)
+    spread = contract(contract(contract(spread, a), bc), bc)
+    rest = target.ant.remove(f)
+    left = node(RuleId.ImpR, Sequent(rest.add(bc), f.left), None, spread)
+    return node(rule, target, f, left, right)

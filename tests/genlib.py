@@ -7,9 +7,11 @@ explicit seed so failures reproduce exactly.
 import random
 from typing import Optional
 
+from islt.calculus import Derivation, RuleId, node
 from islt.formula import And, Bot, Box, Formula, Imp, Or, Var, weight
 from islt.search import Proved, prove
 from islt.sequent import Sequent, sequent
+from islt.structural import id_general
 
 DEFAULT_VARS = ("p", "q", "r", "s")
 
@@ -61,3 +63,27 @@ def proved_proofs(rng: random.Random, count: int, depth: int = 3, variables=DEFA
         if isinstance(r, Proved):
             out.append(r.proof)
     return out
+
+
+def _paths(d, prefix=()):
+    yield prefix, d
+    for i, c in enumerate(d.children):
+        yield from _paths(c, prefix + (i,))
+
+
+def _replace(d, path, new):
+    if not path:
+        return new
+    i = path[0]
+    children = list(d.children)
+    children[i] = _replace(children[i], path[1:], new)
+    return Derivation(d.root, d.rule, d.principal, tuple(children))
+
+
+def inject_cut(rng, d):
+    """Wrap a random subtree t in a Cut on t's own conclusion formula."""
+    spots = list(_paths(d))
+    path, t = spots[rng.randrange(len(spots))]
+    right = id_general(t.root.suc, t.root.ant)
+    cut_node = node(RuleId.Cut, t.root, None, t, right)
+    return _replace(d, path, cut_node)

@@ -276,6 +276,23 @@ def test_certificate_of_the_wrong_shape_exits_2(capsys, tmp_path, command, shape
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["check", "hilbert-check", "cutelim"])
+def test_unreadable_or_unwritable_path_exits_2(capsys, tmp_path, command):
+    # a directory where a file is read or written
+    if command == "cutelim":
+        cert = tmp_path / "cert.json"
+        cert.write_text(calculus.dumps(certificate("p => p \\/ q")), encoding="utf-8")
+        argv = ["cutelim", str(cert), "-o", str(tmp_path)]
+    else:
+        argv = [command, str(tmp_path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_usage_error_raises_system_exit():
     with pytest.raises(SystemExit):
         main([])

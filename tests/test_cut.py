@@ -4,7 +4,7 @@ import random
 import sys
 
 import pytest
-from genlib import formula, random_sequent
+from genlib import formula, inject_cut, random_sequent
 
 from islt.calculus import Derivation, RuleId, check, node, uses_cut
 from islt.cut import CutError, CutInstance, cut_admissible, eliminate
@@ -99,30 +99,6 @@ def test_validate_rejects_broken_premise():
     broken = Derivation(parse_sequent("p, p /\\ p => q"), RuleId.IdP, None, ())
     with pytest.raises(CutError, match="fails checking"):
         CutInstance(left, broken).validate()
-
-
-def _paths(d, prefix=()):
-    yield prefix, d
-    for i, c in enumerate(d.children):
-        yield from _paths(c, prefix + (i,))
-
-
-def _replace(d, path, new):
-    if not path:
-        return new
-    i = path[0]
-    children = list(d.children)
-    children[i] = _replace(children[i], path[1:], new)
-    return Derivation(d.root, d.rule, d.principal, tuple(children))
-
-
-def inject_cut(rng, d):
-    """Wrap a random subtree t in a Cut on t's own conclusion formula."""
-    spots = list(_paths(d))
-    path, t = spots[rng.randrange(len(spots))]
-    right = id_general(t.root.suc, t.root.ant)
-    cut_node = node(RuleId.Cut, t.root, None, t, right)
-    return _replace(d, path, cut_node)
 
 
 def test_eliminate_injected_cuts():
