@@ -1,57 +1,55 @@
-"""Decision procedure and proof workbench for intuitionistic Strong Löb logic."""
+"""Decision procedure and proof workbench for intuitionistic Strong Löb logic.
 
-from .calculus import (
-    Derivation,
-    RuleId,
-    SchemaError,
-    Violation,
-    check,
-    expand,
-    height,
-    node,
-    premises_of,
-    uses_cut,
-)
-from .cut import CutError, CutInstance, cut_admissible, eliminate
-from .formula import (
-    And,
-    Bot,
-    Box,
-    Formula,
-    Imp,
-    Or,
-    ParseError,
-    Var,
-    parse_formula,
-    print_formula,
-    weight,
-)
-from .hilbert import AxiomId, HilbertNode, axiom_instance, bridge_check, check_hilbert
-from .measure import shortlex_less, theta
-from .search import BudgetExceeded, Proved, Unprovable, decide, prove
-from .semantics import (
-    ENUMERATION_BOUND,
-    KripkeModel,
-    enumerate_models,
-    find_countermodel,
-    forces,
-    valid,
-    validate_model,
-)
-from .sequent import Multiset, Sequent, parse_sequent, partition_boxed, print_sequent, sequent
-from .structural import (
-    TransformError,
-    box_imp_lir,
-    contract,
-    id_general,
-    imp_imp_lil,
-    imp_imp_lir,
-    imp_left,
-    invert,
-    unbox_left,
-    weaken,
-)
+The package is lazy (PEP 562): ``import islt`` loads no submodule, and each
+name below loads its submodule on first use, so a command-line run pays
+only for the modules it needs.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# public name -> the submodule that defines it
+_HOME = {
+    **dict.fromkeys(
+        ("Derivation", "RuleId", "SchemaError", "Violation", "check", "expand", "height", "node", "premises_of",
+         "uses_cut"),
+        "calculus",
+    ),
+    **dict.fromkeys(("CutError", "CutInstance", "cut_admissible", "eliminate"), "cut"),
+    **dict.fromkeys(
+        ("And", "Bot", "Box", "Formula", "Imp", "Or", "ParseError", "Var", "parse_formula", "print_formula", "weight"),
+        "formula",
+    ),
+    **dict.fromkeys(("AxiomId", "HilbertNode", "axiom_instance", "bridge_check", "check_hilbert"), "hilbert"),
+    **dict.fromkeys(("shortlex_less", "theta"), "measure"),
+    **dict.fromkeys(("BudgetExceeded", "Proved", "Unprovable", "decide", "prove"), "search"),
+    **dict.fromkeys(
+        ("ENUMERATION_BOUND", "KripkeModel", "enumerate_models", "find_countermodel", "forces", "valid",
+         "validate_model"),
+        "semantics",
+    ),
+    **dict.fromkeys(("Multiset", "Sequent", "parse_sequent", "partition_boxed", "print_sequent", "sequent"), "sequent"),
+    **dict.fromkeys(
+        ("TransformError", "box_imp_lir", "contract", "id_general", "imp_imp_lil", "imp_imp_lir", "imp_left", "invert",
+         "unbox_left", "weaken"),
+        "structural",
+    ),
+}
+_SUBMODULES = frozenset(_HOME.values())
+
+__all__ = sorted(_HOME.keys() | _SUBMODULES)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f"{__name__}.{name}")
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f"{__name__}.{home}"), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | set(__all__))

@@ -15,11 +15,10 @@ these two rather than restating them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
-from .formula import And, Bot, Box, Formula, Imp, Or, Var, parse_formula, print_formula, sort_key
+from .formula import And, Bot, Box, Formula, Imp, Or, Var, _immutable, parse_formula, print_formula, sort_key
 from .sequent import Multiset, Sequent, partition_boxed
 
 
@@ -55,17 +54,45 @@ RIGHT_INVERTIBLE = frozenset({RuleId.ImpImpL, RuleId.BoxImpL})
 # the invertible left rules: each premise keeps the conclusion's context and
 # succedent and puts pieces of the principal in its place (replacements)
 INVERTIBLE_LEFT = INVERTIBLE & LEFT_RULES
+# rules that act on the succedent or close a leaf: they take no principal
+_NO_PRINCIPAL = frozenset(
+    {RuleId.BotL, RuleId.IdP, RuleId.AndR, RuleId.OrR1, RuleId.OrR2, RuleId.ImpR, RuleId.SLtR}
+)
 
 
 class SchemaError(ValueError):
     """Raised when (rule, conclusion, principal) match no rule schema."""
 
 
-@dataclass(frozen=True)
 class RuleInstance:
-    rule: RuleId
-    conclusion: Sequent
-    principal: Optional[Formula] = None
+    """A rule applied backward at its conclusion. Immutable and slotted,
+    with the equality, hash and repr of the frozen dataclass it replaced."""
+
+    __slots__ = ("rule", "conclusion", "principal")
+
+    def __init__(self, rule: RuleId, conclusion: Sequent, principal: Optional[Formula] = None) -> None:
+        _set_inst_rule(self, rule)
+        _set_inst_conclusion(self, conclusion)
+        _set_inst_principal(self, principal)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def _fields(self) -> tuple:
+        return self.rule, self.conclusion, self.principal
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return f"RuleInstance(rule={self.rule!r}, conclusion={self.conclusion!r}, principal={self.principal!r})"
+
+    def __reduce__(self):
+        return RuleInstance, self._fields()
 
     @property
     def premises(self) -> tuple[Sequent, ...]:
@@ -74,22 +101,85 @@ class RuleInstance:
         return premises_of(self.rule, self.conclusion, self.principal)
 
 
-@dataclass(frozen=True)
 class Derivation:
-    root: Sequent
-    rule: RuleId
-    principal: Optional[Formula]
-    children: tuple["Derivation", ...]
+    """A proof tree node: root sequent, rule, principal (None for rules
+    that take none) and premise proofs. Immutable and slotted, with the
+    equality, hash and repr of the frozen dataclass it replaced."""
+
+    __slots__ = ("root", "rule", "principal", "children")
+
+    def __init__(
+        self, root: Sequent, rule: RuleId, principal: Optional[Formula], children: tuple[Derivation, ...]
+    ) -> None:
+        _set_root(self, root)
+        _set_rule(self, rule)
+        _set_principal(self, principal)
+        _set_children(self, children)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def _fields(self) -> tuple:
+        return self.root, self.rule, self.principal, self.children
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"Derivation(root={self.root!r}, rule={self.rule!r}, "
+            f"principal={self.principal!r}, children={self.children!r})"
+        )
+
+    def __reduce__(self):
+        return Derivation, self._fields()
 
 
-@dataclass(frozen=True)
 class Violation:
-    path: tuple[int, ...]
-    reason: str
+    """Where a check failed, as a path of premise indices from the root,
+    and why. Immutable and slotted, with the equality, hash and repr of
+    the frozen dataclass it replaced."""
+
+    __slots__ = ("path", "reason")
+
+    def __init__(self, path: tuple[int, ...], reason: str) -> None:
+        _set_path(self, path)
+        _set_reason(self, reason)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.path, self.reason) == (other.path, other.reason)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.path, self.reason))
+
+    def __repr__(self) -> str:
+        return f"Violation(path={self.path!r}, reason={self.reason!r})"
+
+    def __reduce__(self):
+        return Violation, (self.path, self.reason)
 
     def __str__(self) -> str:
         where = "/".join(str(i) for i in self.path) or "root"
         return f"at {where}: {self.reason}"
+
+
+# slot setters that bypass the immutability guard, for construction only
+_set_inst_rule, _set_inst_conclusion, _set_inst_principal = (
+    RuleInstance.rule.__set__,
+    RuleInstance.conclusion.__set__,
+    RuleInstance.principal.__set__,
+)
+_set_root, _set_rule = Derivation.root.__set__, Derivation.rule.__set__
+_set_principal, _set_children = Derivation.principal.__set__, Derivation.children.__set__
+_set_path, _set_reason = Violation.path.__set__, Violation.reason.__set__
 
 
 def replacements(rule: RuleId, p: Optional[Formula]) -> tuple[tuple[Formula, ...], ...]:
@@ -122,6 +212,8 @@ def replacements(rule: RuleId, p: Optional[Formula]) -> tuple[tuple[Formula, ...
 
 def premises_of(rule: RuleId, conclusion: Sequent, principal: Optional[Formula]) -> tuple[Sequent, ...]:
     """The unique premise list of a rule instance, or SchemaError."""
+    if principal is not None and rule in _NO_PRINCIPAL:
+        raise SchemaError(f"{rule.value} takes no principal formula")
     ant, suc = conclusion.ant, conclusion.suc
 
     def need_principal() -> Formula:

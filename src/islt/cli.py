@@ -6,6 +6,12 @@ found; 1 for unprovable, invalid, or no countermodel within the bound;
 recursive parser, printer or search included), paths that cannot be read or
 written, and budget aborts. Output for a fixed invocation is byte-identical
 across runs.
+
+Each command imports the modules it runs inside its own function: a
+process runs one command, and importing the rest of the package (cut
+elimination, the Hilbert checker, the Kripke semantics) costs more than
+deciding a typical goal. Only the parser and sequents, which every
+command or its error handling needs, are imported here.
 """
 
 from __future__ import annotations
@@ -13,16 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 from typing import Optional
 
-from . import calculus, hilbert, semantics
-from .cut import CutError, eliminate
 from .formula import ParseError, parse_formula
-from .measure import theta
-from .search import BudgetExceeded, Proved, Unprovable, prove
-from .sequent import Sequent, parse_sequent
+from .sequent import Multiset, Sequent, parse_sequent
 
 _BUDGET_ENV = "ISLT_BUDGET"
 
@@ -52,16 +53,19 @@ def _budget(flag: Optional[int]) -> Optional[int]:
 def _parse_goal(text: str, as_sequent: bool) -> Sequent:
     if as_sequent:
         return parse_sequent(text)
-    from .sequent import Multiset
-
     return Sequent(Multiset(), parse_formula(text))
 
 
 def _cmd_prove(args: argparse.Namespace) -> int:
+    from . import calculus
+    from .search import BudgetExceeded, Proved, Unprovable, prove
+
     goal = _parse_goal(args.goal, args.sequent)
     budget = _budget(args.budget)
     seed = args.seed
     if args.naive and seed is None:
+        import random
+
         seed = random.SystemRandom().randrange(2**31)
     if args.naive:
         print(f"seed: {seed}", file=sys.stderr)
@@ -87,6 +91,8 @@ def _cmd_prove(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    from . import calculus
+
     with open(args.certificate, "r", encoding="utf-8") as fh:
         d = calculus.loads(fh.read())
     bad = calculus.check(d)
@@ -98,6 +104,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_cutelim(args: argparse.Namespace) -> int:
+    from . import calculus
+    from .cut import CutError, eliminate
+
     with open(args.certificate, "r", encoding="utf-8") as fh:
         d = calculus.loads(fh.read())
     try:
@@ -113,10 +122,13 @@ def _cmd_cutelim(args: argparse.Namespace) -> int:
 
 
 def _cmd_countermodel(args: argparse.Namespace) -> int:
+    from . import semantics
+
     goal = _parse_goal(args.goal, args.sequent)
-    found = semantics.find_countermodel(goal, max_worlds=args.max_worlds)
+    max_worlds = semantics.ENUMERATION_BOUND if args.max_worlds is None else args.max_worlds
+    found = semantics.find_countermodel(goal, max_worlds=max_worlds)
     if found is None:
-        print(f"no countermodel within {args.max_worlds} worlds")
+        print(f"no countermodel within {max_worlds} worlds")
         return 1
     model, world = found
     payload = semantics.model_to_json(model)
@@ -126,12 +138,16 @@ def _cmd_countermodel(args: argparse.Namespace) -> int:
 
 
 def _cmd_theta(args: argparse.Namespace) -> int:
+    from .measure import theta
+
     s = parse_sequent(args.sequent_text)
     print(json.dumps(theta(s), separators=(",", ":")))
     return 0
 
 
 def _cmd_hilbert_check(args: argparse.Namespace) -> int:
+    from . import hilbert
+
     with open(args.proof, "r", encoding="utf-8") as fh:
         d = hilbert.loads(fh.read())
     bad = hilbert.check_hilbert(d)
@@ -170,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("countermodel", help="search for a refuting Kripke model")
     p.add_argument("goal", help="formula, or sequent with --sequent")
     p.add_argument("--sequent", action="store_true", help="parse the goal as 'ant => suc'")
-    p.add_argument("--max-worlds", type=int, default=semantics.ENUMERATION_BOUND)
+    p.add_argument("--max-worlds", type=int, default=None)
     p.set_defaults(func=_cmd_countermodel)
 
     p = sub.add_parser("theta", help="print the ordering measure of a sequent")

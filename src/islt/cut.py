@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Optional
 
 from .calculus import (
@@ -27,7 +26,7 @@ from .calculus import (
     node,
     uses_cut,
 )
-from .formula import Formula, Imp, print_formula, weight
+from .formula import Formula, Imp, _immutable, print_formula, weight
 from .measure import Theta, shortlex_less, theta
 from .sequent import Multiset, Sequent, boxed_occurrences
 from .structural import (
@@ -55,13 +54,33 @@ def _measure_less(a: Measure, b: Measure) -> bool:
     return shortlex_less(a[1], b[1])
 
 
-@dataclass(frozen=True)
 class CutInstance:
     """Two cut-free premises sharing a context: left proves context => cut
-    formula, right proves context, cut formula => goal."""
+    formula, right proves context, cut formula => goal. Immutable and
+    slotted, with the equality, hash and repr of the frozen dataclass it
+    replaced."""
 
-    left: Derivation
-    right: Derivation
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Derivation, right: Derivation) -> None:
+        _set_left(self, left)
+        _set_right(self, right)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
+
+    def __repr__(self) -> str:
+        return f"CutInstance(left={self.left!r}, right={self.right!r})"
+
+    def __reduce__(self):
+        return CutInstance, (self.left, self.right)
 
     @property
     def context(self) -> Multiset:
@@ -94,6 +113,10 @@ class CutInstance:
                 raise CutError(f"{name} premise fails checking: {bad}")
 
 
+# slot setters that bypass the immutability guard, for construction only
+_set_left, _set_right = CutInstance.left.__set__, CutInstance.right.__set__
+
+
 @contextmanager
 def _recursion_limit(depth: int):
     """Raise the interpreter's recursion limit to at least depth for the
@@ -114,7 +137,11 @@ def cut_admissible(instance: CutInstance, debug: bool = False, log: Optional[lis
         return _cut(instance.left, instance.right, None, debug, log)
 
 
-def _enter(d1: Derivation, d2: Derivation, parent: Optional[Measure], debug: bool, log) -> Measure:
+def _enter(d1: Derivation, d2: Derivation, parent: Optional[Measure], debug: bool, log) -> Optional[Measure]:
+    """The measure of the cut about to be made, logged and checked against
+    its parent's; None, and nothing computed, when nobody reads it."""
+    if not debug and log is None:
+        return None
     own = (weight(d1.root.suc), theta(Sequent(d1.root.ant, d2.root.suc)))
     if log is not None:
         log.append((parent, own))

@@ -20,16 +20,18 @@ import re
 from weakref import ref
 
 
+def _immutable(self, *args):
+    """__setattr__ and __delattr__ of the package's immutable classes, which
+    set their slots through the slot descriptors' own __set__ instead."""
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 class Formula:
     """Base class; concrete shapes are Var, Bot, And, Or, Imp, Box."""
 
     __slots__ = ("weight", "key", "__weakref__")
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)

@@ -11,12 +11,11 @@ prover doubles as a cross-check between the two proof systems.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional
 
 from .calculus import Violation, _field
-from .formula import And, Bot, Box, Formula, Imp, Or, Var, parse_formula, print_formula
+from .formula import And, Bot, Box, Formula, Imp, Or, Var, _immutable, parse_formula, print_formula
 from .search import Proved, decide
 
 
@@ -106,22 +105,53 @@ class HilbertRule(str, Enum):
     MP = "MP"
 
 
-@dataclass(frozen=True)
 class HilbertNode:
     """One consecution: context |- conclusion, justified by a rule. Ax
     nodes carry their axiom and substitution so checking can rebuild the
-    instance."""
+    instance. Immutable and slotted, with the equality, hash and repr of
+    the frozen dataclass it replaced."""
 
-    context: frozenset[Formula]
-    conclusion: Formula
-    rule: HilbertRule
-    axiom: Optional[AxiomId] = None
-    subst: Optional[tuple[tuple[str, Formula], ...]] = None
-    children: tuple["HilbertNode", ...] = ()
+    __slots__ = ("context", "conclusion", "rule", "axiom", "subst", "children")
+
+    def __init__(
+        self,
+        context: frozenset[Formula],
+        conclusion: Formula,
+        rule: HilbertRule,
+        axiom: Optional[AxiomId] = None,
+        subst: Optional[tuple[tuple[str, Formula], ...]] = None,
+        children: tuple[HilbertNode, ...] = (),
+    ) -> None:
+        for setter, value in zip(_SETTERS, (context, conclusion, rule, axiom, subst, children)):
+            setter(self, value)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def _fields(self) -> tuple:
+        return self.context, self.conclusion, self.rule, self.axiom, self.subst, self.children
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
+        return f"HilbertNode({shown})"
+
+    def __reduce__(self):
+        return HilbertNode, self._fields()
 
     def __str__(self) -> str:
         ctx = ", ".join(sorted(print_formula(f) for f in self.context))
         return f"{ctx} |- {print_formula(self.conclusion)}"
+
+
+# slot setters that bypass the immutability guard, for construction only
+_SETTERS = tuple(getattr(HilbertNode, name).__set__ for name in HilbertNode.__slots__)
 
 
 def ax(context: frozenset[Formula], a: AxiomId, subst: Mapping[str, Formula]) -> HilbertNode:

@@ -24,28 +24,82 @@ the paper proves, and it must reach the same verdicts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .calculus import INVERTIBLE, RIGHT_INVERTIBLE, Derivation, RuleId, expand
-from .formula import Formula
+from .formula import Formula, _immutable
 from .measure import shortlex_less, theta
 from .sequent import Multiset, Sequent
 
+# The three results are immutable and slotted, with the equality, hash and
+# repr of the frozen dataclasses they replaced.
 
-@dataclass(frozen=True)
+
 class Proved:
-    proof: Derivation
+    """The goal and its proof."""
+
+    __slots__ = ("proof",)
+
+    def __init__(self, proof: Derivation) -> None:
+        _set_proof(self, proof)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.proof == other.proof
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.proof,))
+
+    def __repr__(self) -> str:
+        return f"Proved(proof={self.proof!r})"
+
+    def __reduce__(self):
+        return Proved, (self.proof,)
 
 
-@dataclass(frozen=True)
-class Unprovable:
-    explored: int
+class _Explored:
+    """A result without a proof; explored counts the distinct sequents
+    visited."""
+
+    __slots__ = ("explored",)
+
+    def __init__(self, explored: int) -> None:
+        _set_explored(self, explored)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.explored == other.explored
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.explored,))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(explored={self.explored!r})"
+
+    def __reduce__(self):
+        return type(self), (self.explored,)
 
 
-@dataclass(frozen=True)
-class BudgetExceeded:
-    explored: int
+class Unprovable(_Explored):
+    """The goal has no proof."""
+
+    __slots__ = ()
+
+
+class BudgetExceeded(_Explored):
+    """The budget ran out before a verdict."""
+
+    __slots__ = ()
+
+
+# slot setters that bypass the immutability guard, for construction only
+_set_proof, _set_explored = Proved.proof.__set__, _Explored.explored.__set__
 
 
 SearchResult = Union[Proved, Unprovable, BudgetExceeded]

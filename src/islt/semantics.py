@@ -26,11 +26,10 @@ a formula is not bounded by Python's recursion limit.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from itertools import combinations, islice, product
 from typing import Callable, Iterator, Optional, Sequence
 
-from .formula import And, Bot, Box, Formula, Imp, Or, Var
+from .formula import And, Bot, Box, Formula, Imp, Or, Var, _immutable
 from .sequent import Sequent
 from .sequent import variables as sequent_variables
 
@@ -42,19 +41,28 @@ ENUMERATION_BOUND = 3
 _MAX_WIDTH = 4096
 
 
-@dataclass(frozen=True)
 class KripkeModel:
     """A finite model; immutable, the valuation included. A model may
     carry the batch it is evaluated through, which is not part of its
-    value: equality, hashing, repr, pickling and copying ignore it."""
+    value: equality, hashing, repr, pickling and copying ignore it.
 
-    worlds: int
-    leq: frozenset[tuple[int, int]]
-    r: frozenset[tuple[int, int]]
-    valuation: dict[str, frozenset[int]]
+    Equality, hash and repr are those of the frozen dataclass it replaced.
+    The fields live in the instance dict, beside the batch, so that
+    enumeration can fill that dict without running __init__."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "valuation", dict(self.valuation))
+    def __init__(
+        self,
+        worlds: int,
+        leq: frozenset[tuple[int, int]],
+        r: frozenset[tuple[int, int]],
+        valuation: dict[str, frozenset[int]],
+    ) -> None:
+        _set_dict(self, {"worlds": worlds, "leq": leq, "r": r, "valuation": dict(valuation)})
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __repr__(self) -> str:
+        return f"KripkeModel(worlds={self.worlds!r}, leq={self.leq!r}, r={self.r!r}, valuation={self.valuation!r})"
 
     def __hash__(self):
         return hash((self.worlds, self.leq, self.r, tuple(sorted(self.valuation.items()))))
@@ -70,6 +78,10 @@ class KripkeModel:
 
     def __reduce__(self):
         return KripkeModel, (self.worlds, self.leq, self.r, self.valuation)
+
+
+# the instance dict's setter, which bypasses the immutability guard
+_set_dict = KripkeModel.__dict__["__dict__"].__set__
 
 
 def validate_model(m: KripkeModel) -> list[str]:
@@ -244,12 +256,10 @@ class _Batch:
         frame, names, prefix = self.frame, self.names, self.prefix
         trailing = product(frame.upsets, repeat=len(names) - len(prefix))
         for c, chosen in enumerate(islice(trailing, start, None), start):
-            # past the frozen dataclass's __init__, which sets each field
-            # through object.__setattr__ and copies the valuation
+            # past __init__, which would copy the valuation again
             m = object.__new__(KripkeModel)
-            object.__setattr__(
+            _set_dict(
                 m,
-                "__dict__",
                 {
                     "worlds": frame.n,
                     "leq": frame.leq,

@@ -6,10 +6,9 @@ equal sequents compare and hash equal and exchange is a non-operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .formula import Box, Formula, ParseError, _Parser, print_formula, sort_key
+from .formula import Box, Formula, ParseError, _immutable, _Parser, print_formula, sort_key
 from .formula import variables as formula_variables
 
 
@@ -43,11 +42,32 @@ def _put(entries: Entries, f: Formula, n: int) -> Entries:
     return entries[:lo] + ((f, total),) + rest
 
 
-@dataclass(frozen=True)
 class Multiset:
-    """Multiset of formulas as (formula, count) entries sorted by sort_key."""
+    """Multiset of formulas as (formula, count) entries sorted by sort_key.
 
-    entries: Entries = ()
+    Immutable and slotted, with the equality, hash and repr of the frozen
+    dataclass it replaced."""
+
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Entries = ()) -> None:
+        _set_entries(self, entries)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries == other.entries
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
+
+    def __repr__(self) -> str:
+        return f"Multiset(entries={self.entries!r})"
+
+    def __reduce__(self):
+        return Multiset, (self.entries,)
 
     @staticmethod
     def of(*formulas: Formula) -> "Multiset":
@@ -122,13 +142,45 @@ def unbox_one_level(a: Multiset) -> Multiset:
     return phi.union(gamma)
 
 
-@dataclass(frozen=True)
 class Sequent:
-    ant: Multiset
-    suc: Formula
+    """ant => suc. Immutable and slotted, with the equality, hash and repr
+    of the frozen dataclass it replaced; the hash is computed on first use
+    and kept, since search hashes each sequent it visits several times."""
+
+    __slots__ = ("ant", "suc", "_hash")
+
+    def __init__(self, ant: Multiset, suc: Formula) -> None:
+        _set_ant(self, ant)
+        _set_suc(self, suc)
+        _set_hash(self, None)
+
+    __setattr__ = __delattr__ = _immutable
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.suc is other.suc and self.ant == other.ant
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.ant, self.suc))
+            _set_hash(self, h)
+        return h
+
+    def __repr__(self) -> str:
+        return f"Sequent(ant={self.ant!r}, suc={self.suc!r})"
+
+    def __reduce__(self):
+        return Sequent, (self.ant, self.suc)
 
     def __str__(self) -> str:
         return print_sequent(self)
+
+
+# slot setters that bypass the immutability guard, for construction only
+_set_entries = Multiset.entries.__set__
+_set_ant, _set_suc, _set_hash = Sequent.ant.__set__, Sequent.suc.__set__, Sequent._hash.__set__
 
 
 def sequent(ant: Iterable[Formula], suc: Formula) -> Sequent:

@@ -38,19 +38,6 @@ from .calculus import (
 from .formula import And, Bot, Box, Formula, Imp, Or, Var, print_formula
 from .sequent import Multiset, Sequent, unbox_one_level
 
-HEIGHT_PRESERVING = {
-    "weaken": True,
-    "unbox_left": True,
-    "invert": True,
-    "box_imp_lir": True,
-    "imp_imp_lir": True,
-    "imp_imp_lil": False,
-    "contract": False,
-    "imp_left": False,
-    "id_general": False,
-}
-
-
 class TransformError(ValueError):
     """A transform was applied outside its precondition."""
 
@@ -71,12 +58,6 @@ def weaken(p: Derivation, f: Formula) -> Derivation:
     inner = f.body if isinstance(f, Box) else f
     children = [weaken(c, inner if _strips_box(p.rule, i) else f) for i, c in enumerate(p.children)]
     return Derivation(target, p.rule, p.principal, tuple(children))
-
-
-def weaken_many(p: Derivation, fs: Iterable[Formula]) -> Derivation:
-    for f in fs:
-        p = weaken(p, f)
-    return p
 
 
 def unbox_left(p: Derivation, designated: Iterable[Formula]) -> Derivation:

@@ -159,6 +159,32 @@ def test_check_flags_wrong_premises_with_path():
     assert v2 is not None and v2.path == (0,)
 
 
+def test_check_rejects_a_principal_on_rules_that_take_none():
+    # BotL on "#, q => p" with principal q
+    bad = node(RuleId.BotL, seq("#, q => p"), q)
+    v = check(bad)
+    assert v is not None and v.path == ()
+    assert v.reason == "BotL takes no principal formula"
+    # a prover ImpR node given principal q
+    d = prove(seq("q => p -> p")).proof
+    assert d.rule is RuleId.ImpR and check(d) is None
+    v = check(node(d.rule, d.root, q, *d.children))
+    assert v is not None and v.reason == "ImpR takes no principal formula"
+    # every such rule, at a conclusion its schema accepts
+    for rule, text in (
+        (RuleId.BotL, "#, q => p"),
+        (RuleId.IdP, "p, q => p"),
+        (RuleId.AndR, "q => p /\\ p"),
+        (RuleId.OrR1, "q => p \\/ r"),
+        (RuleId.OrR2, "q => p \\/ r"),
+        (RuleId.ImpR, "q => p -> p"),
+        (RuleId.SLtR, "q => []p"),
+    ):
+        premises_of(rule, seq(text), None)
+        with pytest.raises(SchemaError, match="takes no principal"):
+            premises_of(rule, seq(text), q)
+
+
 def test_check_cut_shape():
     base = prove(seq("=> p -> p")).proof
     left = prove(seq("=> p -> p")).proof

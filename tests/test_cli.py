@@ -298,3 +298,62 @@ def test_usage_error_raises_system_exit():
         main([])
     with pytest.raises(SystemExit):
         main(["prove", "--emit", "pdf", "p"])
+
+
+# Each README example run in a fresh interpreter, which reports the modules
+# it loaded on its last stderr line.
+_PROBE = (
+    "import sys; from islt.cli import main; code = main(sys.argv[1:]); "
+    "print(*sorted(sys.modules), file=sys.stderr); sys.exit(code)"
+)
+_README = [
+    ("prove", "([]p -> p) -> p"),
+    ("prove", "--emit", "text", "([]p -> p) -> p"),
+    ("prove", "--sequent", "p, p -> q => q"),
+    ("prove", "--naive", "--seed", "7", "p -> []p"),
+    ("check", "cert.json"),
+    ("cutelim", "with_cuts.json", "-o", "cut_free.json"),
+    ("countermodel", "[]p -> p"),
+    ("theta", "[](p /\\ q), p \\/ q => q -> p"),
+    ("hilbert-check", "derivation.json"),
+]
+
+
+def _fresh(code, *argv, cwd=None):
+    src = str(Path(islt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, cwd=cwd, timeout=120
+    )
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    cert = certificate("=> p -> p")
+    (tmp_path / "cert.json").write_text(calculus.dumps(cert), encoding="utf-8")
+    right = id_general(cert.root.suc, cert.root.ant)
+    with_cuts = calculus.node(calculus.RuleId.Cut, cert.root, None, cert, right)
+    (tmp_path / "with_cuts.json").write_text(calculus.dumps(with_cuts), encoding="utf-8")
+    derivation = hilbert_dumps(ax(frozenset(), AxiomId.A11, {"phi": Var("p")}))
+    (tmp_path / "derivation.json").write_text(derivation, encoding="utf-8")
+    for argv in _README:
+        got = _fresh(_PROBE, *argv, cwd=tmp_path)
+        assert got.returncode == 0, (argv, got.stderr)
+        loaded = set(got.stderr.splitlines()[-1].split())
+        assert "islt.cli" in loaded
+        assert "dataclasses" not in loaded, argv
+        if argv[0] == "prove":
+            assert not loaded & {"islt.cut", "islt.structural", "islt.semantics", "islt.hilbert"}, argv
+
+
+def test_package_is_lazy_and_exports_every_name():
+    got = _fresh("import sys, islt; print(*sorted(m for m in sys.modules if m.startswith('islt')))")
+    assert got.returncode == 0 and got.stdout.split() == ["islt"]
+    listed = dir(islt)
+    for name in islt.__all__:
+        getattr(islt, name)
+        assert name in listed
+    namespace: dict = {}
+    exec("from islt import *", namespace)
+    assert set(islt.__all__) <= namespace.keys()
+    assert islt.prove is namespace["prove"] is prove
+    assert islt.calculus is calculus
