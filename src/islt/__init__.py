@@ -1,11 +1,17 @@
 """Decision procedure and proof workbench for intuitionistic Strong Löb logic.
 
-The package is lazy (PEP 562): ``import islt`` loads no submodule, and each
-name below loads its submodule on first use, so a command-line run pays
-only for the modules it needs.
+The package is lazy (PEP 562): ``import islt`` loads only ``formula`` and
+``sequent``, and each other name below loads its submodule on first use, so
+a command-line run pays only for the modules it needs.
 """
 
 from importlib import import_module
+
+# The function ``sequent`` shadows the submodule of the same name. Loading a
+# submodule binds it on the package, whoever imports it, so the submodule is
+# loaded here and the function bound over it; later imports find the
+# submodule in ``sys.modules`` and leave the package attribute alone.
+sequent = import_module(f"{__name__}.sequent").sequent
 
 __version__ = "0.1.0"
 

@@ -20,12 +20,35 @@ import argparse
 import json
 import os
 import sys
+from importlib import import_module
 from typing import Optional
 
 from .formula import ParseError, parse_formula
 from .sequent import Multiset, Sequent, parse_sequent
 
 _BUDGET_ENV = "ISLT_BUDGET"
+
+# Names this module bound at import time before the commands imported what
+# they run, resolved on first use so that ``islt.cli.prove`` and the rest
+# still work: name -> the submodule that defines it, or None for a submodule.
+_MOVED = {
+    **dict.fromkeys(("calculus", "hilbert", "semantics")),
+    **dict.fromkeys(("BudgetExceeded", "Proved", "Unprovable", "prove"), "search"),
+    **dict.fromkeys(("CutError", "eliminate"), "cut"),
+    "theta": "measure",
+}
+
+
+def __getattr__(name: str):
+    if name not in _MOVED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = _MOVED[name]
+    if home is None:
+        value = import_module(f"{__package__}.{name}")
+    else:
+        value = getattr(import_module(f"{__package__}.{home}"), name)
+    globals()[name] = value
+    return value
 
 
 def _env_budget() -> Optional[int]:

@@ -347,13 +347,37 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
 
 def test_package_is_lazy_and_exports_every_name():
     got = _fresh("import sys, islt; print(*sorted(m for m in sys.modules if m.startswith('islt')))")
-    assert got.returncode == 0 and got.stdout.split() == ["islt"]
+    assert got.returncode == 0 and got.stdout.split() == ["islt", "islt.formula", "islt.sequent"]
     listed = dir(islt)
     for name in islt.__all__:
-        getattr(islt, name)
+        home = islt._HOME.get(name)
+        if home is None:
+            assert getattr(islt, name) is sys.modules[f"islt.{name}"], name
+        else:
+            assert getattr(islt, name) is getattr(sys.modules[f"islt.{home}"], name), name
         assert name in listed
     namespace: dict = {}
     exec("from islt import *", namespace)
     assert set(islt.__all__) <= namespace.keys()
     assert islt.prove is namespace["prove"] is prove
     assert islt.calculus is calculus
+
+
+def test_the_sequent_function_shadows_its_submodule_whatever_loads_first():
+    got = _fresh(
+        "import sys, islt.calculus; from islt import *; import islt; "
+        "print(sequent is islt.sequent is sys.modules['islt.sequent'].sequent, sequent([], Var('p')))"
+    )
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.split() == ["True", "=>", "p"]
+
+
+def test_cli_still_binds_the_names_its_commands_import():
+    got = _fresh(
+        "import sys, islt.cli as cli; before = set(sys.modules); "
+        "import islt.cut, islt.hilbert, islt.measure, islt.search, islt.semantics; "
+        "print(cli.prove is islt.search.prove, cli.eliminate is islt.cut.eliminate, "
+        "cli.theta is islt.measure.theta, cli.semantics is islt.semantics, 'islt.cut' in before)"
+    )
+    assert got.returncode == 0, got.stderr
+    assert got.stdout.split() == ["True"] * 4 + ["False"]
