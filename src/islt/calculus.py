@@ -18,7 +18,7 @@ import json
 from enum import Enum
 from typing import Optional
 
-from .formula import And, Bot, Box, Formula, Imp, Or, Var, _immutable, parse_formula, print_formula, sort_key
+from .formula import And, Bot, Box, Formula, Imp, Or, Var, _Record, parse_formula, print_formula, sort_key
 from .sequent import Multiset, Sequent, partition_boxed
 
 
@@ -64,35 +64,15 @@ class SchemaError(ValueError):
     """Raised when (rule, conclusion, principal) match no rule schema."""
 
 
-class RuleInstance:
-    """A rule applied backward at its conclusion. Immutable and slotted,
-    with the equality, hash and repr of the frozen dataclass it replaced."""
+class RuleInstance(_Record):
+    """A rule applied backward at its conclusion."""
 
-    __slots__ = ("rule", "conclusion", "principal")
+    __slots__ = __match_args__ = ("rule", "conclusion", "principal")
 
     def __init__(self, rule: RuleId, conclusion: Sequent, principal: Optional[Formula] = None) -> None:
         _set_inst_rule(self, rule)
         _set_inst_conclusion(self, conclusion)
         _set_inst_principal(self, principal)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def _fields(self) -> tuple:
-        return self.rule, self.conclusion, self.principal
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return f"RuleInstance(rule={self.rule!r}, conclusion={self.conclusion!r}, principal={self.principal!r})"
-
-    def __reduce__(self):
-        return RuleInstance, self._fields()
 
     @property
     def premises(self) -> tuple[Sequent, ...]:
@@ -101,12 +81,11 @@ class RuleInstance:
         return premises_of(self.rule, self.conclusion, self.principal)
 
 
-class Derivation:
+class Derivation(_Record):
     """A proof tree node: root sequent, rule, principal (None for rules
-    that take none) and premise proofs. Immutable and slotted, with the
-    equality, hash and repr of the frozen dataclass it replaced."""
+    that take none) and premise proofs."""
 
-    __slots__ = ("root", "rule", "principal", "children")
+    __slots__ = __match_args__ = ("root", "rule", "principal", "children")
 
     def __init__(
         self, root: Sequent, rule: RuleId, principal: Optional[Formula], children: tuple[Derivation, ...]
@@ -116,55 +95,16 @@ class Derivation:
         _set_principal(self, principal)
         _set_children(self, children)
 
-    __setattr__ = __delattr__ = _immutable
 
-    def _fields(self) -> tuple:
-        return self.root, self.rule, self.principal, self.children
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        return (
-            f"Derivation(root={self.root!r}, rule={self.rule!r}, "
-            f"principal={self.principal!r}, children={self.children!r})"
-        )
-
-    def __reduce__(self):
-        return Derivation, self._fields()
-
-
-class Violation:
+class Violation(_Record):
     """Where a check failed, as a path of premise indices from the root,
-    and why. Immutable and slotted, with the equality, hash and repr of
-    the frozen dataclass it replaced."""
+    and why."""
 
-    __slots__ = ("path", "reason")
+    __slots__ = __match_args__ = ("path", "reason")
 
     def __init__(self, path: tuple[int, ...], reason: str) -> None:
         _set_path(self, path)
         _set_reason(self, reason)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.path, self.reason) == (other.path, other.reason)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.path, self.reason))
-
-    def __repr__(self) -> str:
-        return f"Violation(path={self.path!r}, reason={self.reason!r})"
-
-    def __reduce__(self):
-        return Violation, (self.path, self.reason)
 
     def __str__(self) -> str:
         where = "/".join(str(i) for i in self.path) or "root"

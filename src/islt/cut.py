@@ -26,7 +26,7 @@ from .calculus import (
     node,
     uses_cut,
 )
-from .formula import Formula, Imp, _immutable, print_formula, weight
+from .formula import Formula, Imp, _Record, print_formula, weight
 from .measure import Theta, shortlex_less, theta
 from .sequent import Multiset, Sequent, boxed_occurrences
 from .structural import (
@@ -54,33 +54,15 @@ def _measure_less(a: Measure, b: Measure) -> bool:
     return shortlex_less(a[1], b[1])
 
 
-class CutInstance:
+class CutInstance(_Record):
     """Two cut-free premises sharing a context: left proves context => cut
-    formula, right proves context, cut formula => goal. Immutable and
-    slotted, with the equality, hash and repr of the frozen dataclass it
-    replaced."""
+    formula, right proves context, cut formula => goal."""
 
-    __slots__ = ("left", "right")
+    __slots__ = __match_args__ = ("left", "right")
 
     def __init__(self, left: Derivation, right: Derivation) -> None:
         _set_left(self, left)
         _set_right(self, right)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right))
-
-    def __repr__(self) -> str:
-        return f"CutInstance(left={self.left!r}, right={self.right!r})"
-
-    def __reduce__(self):
-        return CutInstance, (self.left, self.right)
 
     @property
     def context(self) -> Multiset:

@@ -26,18 +26,44 @@ def _immutable(self, *args):
     raise AttributeError(f"{type(self).__name__} is immutable")
 
 
-class Formula:
-    """Base class; concrete shapes are Var, Bot, And, Or, Imp, Box."""
+class _Record:
+    """Base of the package's immutable value classes, with the behaviour of
+    a frozen dataclass. A subclass names its fields in __match_args__, in
+    __init__ order, and sets its slots through the slot descriptors' __set__.
+    The base gives it: no assignment or deletion; equality and hash by the
+    field values, an instance of another class never being equal; the repr
+    Name(field=value, ...); and pickling and copying through __init__."""
 
-    __slots__ = ("weight", "key", "__weakref__")
+    __slots__ = ()
 
     __setattr__ = __delattr__ = _immutable
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._fields()))
+        return f"{type(self).__name__}({shown})"
+
     def __reduce__(self):
         return type(self), self._fields()
+
+
+class Formula(_Record):
+    """Base class; concrete shapes are Var, Bot, And, Or, Imp, Box."""
+
+    __slots__ = ("weight", "key", "__weakref__")
+
+    # hash-consed, so structurally equal formulas are one object
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(map(repr, self._fields()))})"

@@ -15,8 +15,7 @@ from enum import Enum
 from typing import Mapping, Optional
 
 from .calculus import Violation, _field
-from .formula import And, Bot, Box, Formula, Imp, Or, Var, _immutable, parse_formula, print_formula
-from .search import Proved, decide
+from .formula import And, Bot, Box, Formula, Imp, Or, Var, _Record, parse_formula, print_formula
 
 
 class AxiomId(str, Enum):
@@ -105,13 +104,12 @@ class HilbertRule(str, Enum):
     MP = "MP"
 
 
-class HilbertNode:
+class HilbertNode(_Record):
     """One consecution: context |- conclusion, justified by a rule. Ax
     nodes carry their axiom and substitution so checking can rebuild the
-    instance. Immutable and slotted, with the equality, hash and repr of
-    the frozen dataclass it replaced."""
+    instance."""
 
-    __slots__ = ("context", "conclusion", "rule", "axiom", "subst", "children")
+    __slots__ = __match_args__ = ("context", "conclusion", "rule", "axiom", "subst", "children")
 
     def __init__(
         self,
@@ -124,26 +122,6 @@ class HilbertNode:
     ) -> None:
         for setter, value in zip(_SETTERS, (context, conclusion, rule, axiom, subst, children)):
             setter(self, value)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def _fields(self) -> tuple:
-        return self.context, self.conclusion, self.rule, self.axiom, self.subst, self.children
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self._fields() == other._fields()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._fields()))
-        return f"HilbertNode({shown})"
-
-    def __reduce__(self):
-        return HilbertNode, self._fields()
 
     def __str__(self) -> str:
         ctx = ", ".join(sorted(print_formula(f) for f in self.context))
@@ -242,6 +220,8 @@ def _check_node(n: HilbertNode) -> Optional[str]:
 def bridge_check(a: AxiomId, subst: Mapping[str, Formula]) -> bool:
     """Axiom instances must be sequent-provable; the two calculi agree on
     theorems."""
+    from .search import Proved, decide
+
     return isinstance(decide(axiom_instance(a, subst)), Proved)
 
 

@@ -27,63 +27,28 @@ import random
 from typing import Optional, Union
 
 from .calculus import INVERTIBLE, RIGHT_INVERTIBLE, Derivation, RuleId, expand
-from .formula import Formula, _immutable
+from .formula import Formula, _Record
 from .measure import shortlex_less, theta
 from .sequent import Multiset, Sequent
 
-# The three results are immutable and slotted, with the equality, hash and
-# repr of the frozen dataclasses they replaced.
 
-
-class Proved:
+class Proved(_Record):
     """The goal and its proof."""
 
-    __slots__ = ("proof",)
+    __slots__ = __match_args__ = ("proof",)
 
     def __init__(self, proof: Derivation) -> None:
         _set_proof(self, proof)
 
-    __setattr__ = __delattr__ = _immutable
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.proof == other.proof
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.proof,))
-
-    def __repr__(self) -> str:
-        return f"Proved(proof={self.proof!r})"
-
-    def __reduce__(self):
-        return Proved, (self.proof,)
-
-
-class _Explored:
+class _Explored(_Record):
     """A result without a proof; explored counts the distinct sequents
     visited."""
 
-    __slots__ = ("explored",)
+    __slots__ = __match_args__ = ("explored",)
 
     def __init__(self, explored: int) -> None:
         _set_explored(self, explored)
-
-    __setattr__ = __delattr__ = _immutable
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.explored == other.explored
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.explored,))
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}(explored={self.explored!r})"
-
-    def __reduce__(self):
-        return type(self), (self.explored,)
 
 
 class Unprovable(_Explored):
@@ -149,8 +114,10 @@ def prove(
     rule order using seed; budget caps the number of distinct sequents
     visited."""
     rng = random.Random(seed) if naive else None
-    memo: dict[Sequent, Optional[Derivation]] = {}
-    visited: set[Sequent] = set()
+    # every sequent visited: None on entry, then its result once decided
+    # (not in naive mode). Theta falls strictly along every branch, so a
+    # sequent in progress is never met again below itself.
+    seen: dict[Sequent, Optional[Derivation]] = {}
 
     def order(instances):
         if rng is not None:
@@ -160,12 +127,12 @@ def prove(
         return sorted(instances, key=lambda i: _PRIORITY[i.rule])
 
     def search(seq: Sequent, parent_theta) -> Optional[Derivation]:
-        if not naive and seq in memo:
-            return memo[seq]
-        if seq not in visited:
-            if budget is not None and len(visited) >= budget:
+        if seq not in seen:
+            if budget is not None and len(seen) >= budget:
                 raise _Budget()
-            visited.add(seq)
+            seen[seq] = None
+        elif not naive:
+            return seen[seq]
         own_theta = None
         if debug:
             own_theta = theta(seq)
@@ -194,15 +161,15 @@ def prove(
             if refuted:
                 break
         if not naive:
-            memo[seq] = result
+            seen[seq] = result
         return result
 
     try:
         found = search(s, None)
     except _Budget:
-        return BudgetExceeded(len(visited))
+        return BudgetExceeded(len(seen))
     if found is None:
-        return Unprovable(len(visited))
+        return Unprovable(len(seen))
     return Proved(found)
 
 

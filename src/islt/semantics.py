@@ -46,9 +46,9 @@ class KripkeModel:
     carry the batch it is evaluated through, which is not part of its
     value: equality, hashing, repr, pickling and copying ignore it.
 
-    Equality, hash and repr are those of the frozen dataclass it replaced.
-    The fields live in the instance dict, beside the batch, so that
-    enumeration can fill that dict without running __init__."""
+    Equality, hash and repr are by value, as for a formula._Record. It is
+    not one because its fields live in the instance dict, beside the batch,
+    so that enumeration can fill that dict without running __init__."""
 
     def __init__(
         self,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .formula import Box, Formula, ParseError, _immutable, _Parser, print_formula, sort_key
+from .formula import Box, Formula, ParseError, _Parser, _Record, print_formula, sort_key
 from .formula import variables as formula_variables
 
 
@@ -42,19 +42,15 @@ def _put(entries: Entries, f: Formula, n: int) -> Entries:
     return entries[:lo] + ((f, total),) + rest
 
 
-class Multiset:
-    """Multiset of formulas as (formula, count) entries sorted by sort_key.
+class Multiset(_Record):
+    """Multiset of formulas as (formula, count) entries sorted by sort_key."""
 
-    Immutable and slotted, with the equality, hash and repr of the frozen
-    dataclass it replaced."""
-
-    __slots__ = ("entries",)
+    __slots__ = __match_args__ = ("entries",)
 
     def __init__(self, entries: Entries = ()) -> None:
         _set_entries(self, entries)
 
-    __setattr__ = __delattr__ = _immutable
-
+    # the base's equality and hash, without its generic field tuple
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.entries == other.entries
@@ -62,12 +58,6 @@ class Multiset:
 
     def __hash__(self) -> int:
         return hash((self.entries,))
-
-    def __repr__(self) -> str:
-        return f"Multiset(entries={self.entries!r})"
-
-    def __reduce__(self):
-        return Multiset, (self.entries,)
 
     @staticmethod
     def of(*formulas: Formula) -> "Multiset":
@@ -142,19 +132,17 @@ def unbox_one_level(a: Multiset) -> Multiset:
     return phi.union(gamma)
 
 
-class Sequent:
-    """ant => suc. Immutable and slotted, with the equality, hash and repr
-    of the frozen dataclass it replaced; the hash is computed on first use
-    and kept, since search hashes each sequent it visits several times."""
+class Sequent(_Record):
+    """ant => suc. The hash is computed on first use and kept, since search
+    hashes each sequent it visits several times."""
 
     __slots__ = ("ant", "suc", "_hash")
+    __match_args__ = ("ant", "suc")
 
     def __init__(self, ant: Multiset, suc: Formula) -> None:
         _set_ant(self, ant)
         _set_suc(self, suc)
         _set_hash(self, None)
-
-    __setattr__ = __delattr__ = _immutable
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -167,12 +155,6 @@ class Sequent:
             h = hash((self.ant, self.suc))
             _set_hash(self, h)
         return h
-
-    def __repr__(self) -> str:
-        return f"Sequent(ant={self.ant!r}, suc={self.suc!r})"
-
-    def __reduce__(self):
-        return Sequent, (self.ant, self.suc)
 
     def __str__(self) -> str:
         return print_sequent(self)

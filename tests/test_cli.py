@@ -343,6 +343,8 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
         assert "dataclasses" not in loaded, argv
         if argv[0] == "prove":
             assert not loaded & {"islt.cut", "islt.structural", "islt.semantics", "islt.hilbert"}, argv
+        if argv[0] == "hilbert-check":
+            assert not loaded & {"islt.search", "islt.measure"}, argv
 
 
 def test_package_is_lazy_and_exports_every_name():
