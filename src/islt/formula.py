@@ -50,7 +50,7 @@ class _Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._fields()))
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{type(self).__name__}({shown})"
 
     def __reduce__(self):
