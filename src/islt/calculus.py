@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 from .formula import And, Bot, Box, Formula, Imp, Or, Var, _Record, parse_formula, print_formula, sort_key
 from .sequent import Multiset, Sequent, partition_boxed
@@ -288,12 +288,23 @@ def botl(conclusion: Sequent) -> Derivation:
     return node(RuleId.BotL, conclusion, None)
 
 
-def check(d: Derivation, allow_cut: bool = False) -> Optional[Violation]:
-    """None when every node re-matches its schema and every leaf closes;
-    otherwise the first violation found, with its path from the root."""
-    stack: list[tuple[Derivation, tuple[int, ...]]] = [(d, ())]
+def walk(d: Derivation) -> Iterator[tuple[Derivation, tuple[int, ...]]]:
+    """Every node of the tree under d with its path of premise indices from
+    the root: a node before its premises, premises last to first, with an
+    explicit stack rather than recursion. Hilbert derivations list their
+    premises in children too, so check_hilbert walks them with this."""
+    stack = [(d, ())]
     while stack:
         n, path = stack.pop()
+        yield n, path
+        for i, c in enumerate(n.children):
+            stack.append((c, path + (i,)))
+
+
+def check(d: Derivation, allow_cut: bool = False) -> Optional[Violation]:
+    """None when every node re-matches its schema and every leaf closes;
+    otherwise the first violation in walk order, with its path from the root."""
+    for n, path in walk(d):
         if n.rule is RuleId.Cut:
             if not allow_cut:
                 return Violation(path, "Cut node in a cut-free certificate")
@@ -317,41 +328,16 @@ def check(d: Derivation, allow_cut: bool = False) -> Optional[Violation]:
                     f"{n.rule.value} premises do not match the schema: "
                     f"expected [{'; '.join(map(str, want))}], got [{'; '.join(map(str, got))}]",
                 )
-        for i, c in enumerate(n.children):
-            stack.append((c, path + (i,)))
     return None
 
 
 def height(d: Derivation) -> int:
     """Nodes on the longest root-to-leaf path; a leaf has height 1."""
-    h = 1
-    todo = [(d, 1)]
-    while todo:
-        n, depth = todo.pop()
-        h = max(h, depth)
-        for c in n.children:
-            todo.append((c, depth + 1))
-    return h
-
-
-def node_count(d: Derivation) -> int:
-    total = 0
-    todo = [d]
-    while todo:
-        n = todo.pop()
-        total += 1
-        todo.extend(n.children)
-    return total
+    return 1 + max(len(path) for _, path in walk(d))
 
 
 def uses_cut(d: Derivation) -> bool:
-    todo = [d]
-    while todo:
-        n = todo.pop()
-        if n.rule is RuleId.Cut:
-            return True
-        todo.extend(n.children)
-    return False
+    return any(n.rule is RuleId.Cut for n, _ in walk(d))
 
 
 def _sequent_to_json(s: Sequent) -> dict:

@@ -29,25 +29,19 @@ from .sequent import Multiset, Sequent, parse_sequent
 _BUDGET_ENV = "ISLT_BUDGET"
 
 # Names this module bound at import time before the commands imported what
-# they run, resolved on first use so that ``islt.cli.prove`` and the rest
-# still work: name -> the submodule that defines it, or None for a submodule.
+# they run. They are looked up on the package, which loads their submodules
+# lazily, and bound here on first use, so that ``islt.cli.prove`` and the
+# rest still work, for ``inspect.getattr_static`` too.
 _MOVED = {
-    **dict.fromkeys(("calculus", "hilbert", "semantics")),
-    **dict.fromkeys(("BudgetExceeded", "Proved", "Unprovable", "prove"), "search"),
-    **dict.fromkeys(("CutError", "eliminate"), "cut"),
-    "theta": "measure",
+    "calculus", "hilbert", "semantics", "BudgetExceeded", "Proved", "Unprovable", "prove", "CutError", "eliminate",
+    "theta",
 }
 
 
 def __getattr__(name: str):
     if name not in _MOVED:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    home = _MOVED[name]
-    if home is None:
-        value = import_module(f"{__package__}.{name}")
-    else:
-        value = getattr(import_module(f"{__package__}.{home}"), name)
-    globals()[name] = value
+    value = globals()[name] = getattr(import_module(__package__), name)
     return value
 
 

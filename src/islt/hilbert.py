@@ -14,8 +14,8 @@ import json
 from enum import Enum
 from typing import Mapping, Optional
 
-from .calculus import Violation, _field
-from .formula import And, Bot, Box, Formula, Imp, Or, Var, _Record, parse_formula, print_formula
+from .calculus import Violation, _field, walk
+from .formula import And, Bot, Box, Formula, Imp, Or, Var, _Record, parse_formula, print_formula, variables
 
 
 class AxiomId(str, Enum):
@@ -53,20 +53,7 @@ _SCHEMAS: dict[AxiomId, Formula] = {
 
 def metavariables(a: AxiomId) -> tuple[str, ...]:
     """The schema's metavariable names in canonical order."""
-    seen: list[str] = []
-
-    def walk(f: Formula) -> None:
-        if isinstance(f, Var):
-            if f.name not in seen:
-                seen.append(f.name)
-        elif isinstance(f, (And, Or, Imp)):
-            walk(f.left)
-            walk(f.right)
-        elif isinstance(f, Box):
-            walk(f.body)
-
-    walk(_SCHEMAS[a])
-    return tuple(sorted(seen, key=("phi", "psi", "chi").index))
+    return tuple(sorted(variables(_SCHEMAS[a]), key=("phi", "psi", "chi").index))
 
 
 class SubstitutionError(ValueError):
@@ -155,15 +142,11 @@ def mp(minor: HilbertNode, major: HilbertNode) -> HilbertNode:
 
 def check_hilbert(d: HilbertNode) -> Optional[Violation]:
     """None when every node satisfies its rule's side conditions;
-    otherwise the first violation with its path from the root."""
-    stack: list[tuple[HilbertNode, tuple[int, ...]]] = [(d, ())]
-    while stack:
-        n, path = stack.pop()
+    otherwise the first violation in walk order, with its path from the root."""
+    for n, path in walk(d):
         bad = _check_node(n)
         if bad is not None:
             return Violation(path, bad)
-        for i, c in enumerate(n.children):
-            stack.append((c, path + (i,)))
     return None
 
 

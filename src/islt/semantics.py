@@ -399,15 +399,13 @@ def enumerate_models(
 def find_countermodel(
     s: Sequent,
     max_worlds: int = 3,
-    variables: Optional[Sequence[str]] = None,
     bound: int = ENUMERATION_BOUND,
 ) -> Optional[tuple[KripkeModel, int]]:
     """First (model, world) forcing the antecedent but not the succedent:
-    the first such model in `enumerate_models` order, and its lowest such
-    world. None only means nothing within the bound, not provability."""
-    if variables is None:
-        variables = sorted(sequent_variables(s))
-    for batch in _batches(max_worlds, variables, bound):
+    the first such model in `enumerate_models` order over the sequent's
+    own variables, sorted, and its lowest such world. None only means
+    nothing within the bound, not provability."""
+    for batch in _batches(max_worlds, sorted(sequent_variables(s)), bound):
         hit = batch.refuted(s)
         if hit:
             c = (hit & -hit).bit_length() - 1

@@ -14,7 +14,6 @@ from islt.calculus import (
     height,
     loads,
     node,
-    node_count,
     premises_of,
     render_dot,
     render_text,
@@ -159,6 +158,26 @@ def test_check_flags_wrong_premises_with_path():
     assert v2 is not None and v2.path == (0,)
 
 
+def test_check_reports_the_last_bad_premise():
+    # both IdP leaves are bad; the walk visits premises last to first
+    leaves = (node(RuleId.IdP, seq("=> p"), None), node(RuleId.IdP, seq("=> q"), None))
+    d = node(RuleId.AndR, seq("=> p /\\ q"), None, *leaves)
+    assert str(check(d)) == "at 1: IdP needs an atomic succedent present in the antecedent"
+
+
+def test_tall_proofs_need_no_recursion():
+    # 5,000 ImpR nodes over an IdP leaf, far past the default recursion limit
+    n = 5000
+    ant, suc = Multiset().add(p, n), p
+    d = node(RuleId.IdP, Sequent(ant, suc), None)
+    for _ in range(n):
+        ant, suc = ant.remove(p), Imp(p, suc)
+        d = node(RuleId.ImpR, Sequent(ant, suc), None, d)
+    assert check(d) is None
+    assert height(d) == n + 1
+    assert uses_cut(d) is False
+
+
 def test_check_rejects_a_principal_on_rules_that_take_none():
     # BotL on "#, q => p" with principal q
     bad = node(RuleId.BotL, seq("#, q => p"), q)
@@ -221,10 +240,9 @@ def test_json_is_valid_and_stable():
     assert dumps(d) == dumps(loads(dumps(d)))
 
 
-def test_height_and_node_count():
+def test_height():
     d = prove(seq("=> ([]p -> p) -> p")).proof
     assert height(d) == 3
-    assert node_count(d) == 4
 
 
 def test_render_text_mentions_rules_and_sequents():

@@ -246,7 +246,8 @@ DEEP = "(" * 1200 + "p" + ")" * 1200
 
 @pytest.mark.parametrize("argv", [("prove", DEEP), ("theta", f"{DEEP} => p")])
 def test_deep_input_exits_2_without_traceback(argv):
-    # a fresh interpreter: the suite itself runs with a raised recursion limit
+    # a fresh interpreter, so that the exit code and stderr are the whole
+    # process's, not just what main returns
     src = str(Path(islt.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     got = subprocess.run(

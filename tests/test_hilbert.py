@@ -137,6 +137,13 @@ def test_mp_constructor_rejects_non_implication_major():
             "some f and f -> g",
             (),
         ),
+        # both El leaves are bad; premises are checked last to first
+        (
+            lambda: HilbertNode(frozenset(), q, HilbertRule.MP,
+                                children=(el(frozenset(), p), el(frozenset(), Imp(p, q)))),
+            "El conclusion p -> q is not in the context",
+            (1,),
+        ),
     ],
 )
 def test_check_rejections(build, fragment, path):
