@@ -16,6 +16,7 @@ from islt.calculus import (
     node,
     premises_of,
     render_dot,
+    replacements,
     render_text,
     uses_cut,
 )
@@ -217,6 +218,74 @@ def test_check_cut_shape():
     # context mismatch is rejected even with cuts allowed
     bad = node(RuleId.Cut, seq("q => p -> p"), None, left, right)
     assert check(bad, allow_cut=True) is not None
+
+
+def _bad(rule, text, principal=None, *children, allow_cut=False):
+    """check's verdict on one node; principal is formula text."""
+    f = None if principal is None else parse_formula(principal)
+    return check(node(rule, seq(text), f, *children), allow_cut=allow_cut)
+
+
+def _raised(run, *args):
+    with pytest.raises(ValueError) as e:  # SchemaError is a ValueError
+        run(*args)
+    return e.value
+
+
+_IDP = node(RuleId.IdP, seq("p => p"), None)
+
+
+# (run, message): every rejection of check, its codec and its schemas that
+# the rest of the suite does not reach
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda: _bad(RuleId.AndL, "p \\/ q => p", "p \\/ q"), "at root: AndL principal must be a conjunction"),
+        (lambda: _bad(RuleId.OrL, "p /\\ q => p", "p /\\ q"), "at root: OrL principal must be a disjunction"),
+        (
+            lambda: _bad(RuleId.AtomImpL, "p /\\ q -> r => r", "p /\\ q -> r"),
+            "at root: AtomImpL principal must be an implication with atomic antecedent",
+        ),
+        (
+            lambda: _bad(RuleId.AndImpL, "p -> q => q", "p -> q"),
+            "at root: AndImpL principal must have a conjunction antecedent",
+        ),
+        (
+            lambda: _bad(RuleId.OrImpL, "p -> q => q", "p -> q"),
+            "at root: OrImpL principal must have a disjunction antecedent",
+        ),
+        (
+            lambda: _bad(RuleId.ImpImpL, "p -> q => q", "p -> q"),
+            "at root: ImpImpL principal must have an implication antecedent",
+        ),
+        (lambda: _bad(RuleId.BoxImpL, "p -> q => q", "p -> q"), "at root: BoxImpL principal must have a boxed antecedent"),
+        (lambda: _bad(RuleId.AndL, "p /\\ q => p"), "at root: AndL needs a principal formula"),
+        (lambda: _bad(RuleId.AndL, "q => p", "p /\\ q"), "at root: principal p /\\ q not in the antecedent"),
+        (lambda: _bad(RuleId.AndR, "=> p"), "at root: AndR needs a conjunction succedent"),
+        (lambda: _bad(RuleId.OrR1, "=> p"), "at root: OrR1 needs a disjunction succedent"),
+        (lambda: _bad(RuleId.OrR2, "=> p"), "at root: OrR2 needs a disjunction succedent"),
+        (lambda: _bad(RuleId.ImpR, "=> p"), "at root: ImpR needs an implication succedent"),
+        (lambda: _bad(RuleId.SLtR, "=> p"), "at root: SLtR needs a boxed succedent"),
+        (lambda: _bad(RuleId.Cut, "p => p", None, _IDP, allow_cut=True), "at root: Cut needs exactly two premises"),
+        # the right premise should be "p, p => p"
+        (
+            lambda: _bad(RuleId.Cut, "p => p", None, _IDP, _IDP, allow_cut=True),
+            "at root: Cut right premise must be context plus the cut formula",
+        ),
+        (lambda: _raised(loads, '{"rule": "IdP", "premises": []}'), "certificate lacks 'sequent'"),
+        (
+            lambda: _raised(loads, '{"sequent": {"ant": [1], "suc": "p"}, "rule": "IdP"}'),
+            "certificate 'ant' must hold only strings",
+        ),
+        (lambda: _raised(premises_of, RuleId.Cut, seq("p => p"), None), "no schema for rule Cut"),
+        (
+            lambda: _raised(replacements, RuleId.ImpImpL, parse_formula("(p -> q) -> r")),
+            "ImpImpL does not replace its principal in place",
+        ),
+    ],
+)
+def test_rejection_messages(run, message):
+    assert str(run()) == message
 
 
 def test_json_roundtrip_preserves_everything():

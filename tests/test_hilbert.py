@@ -153,6 +153,51 @@ def test_check_rejections(build, fragment, path):
     assert v.path == path
 
 
+def _raised(text):
+    with pytest.raises(ValueError) as e:
+        loads(text)
+    return e.value
+
+
+# (run, message): every rejection of check_hilbert and its codec that the
+# rest of the suite does not reach
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (
+            lambda: check_hilbert(HilbertNode(frozenset({p}), Imp(p, Imp(q, p)), HilbertRule.Ax, AxiomId.A1,
+                                              (("phi", p), ("psi", q)), children=(el(frozenset({p}), p),))),
+            "at root: Ax takes no premises",
+        ),
+        (
+            lambda: check_hilbert(HilbertNode(frozenset(), Imp(p, Imp(q, p)), HilbertRule.Ax, AxiomId.A1,
+                                              (("phi", p),))),
+            "at root: A1 needs substitutes for psi",
+        ),
+        (
+            lambda: check_hilbert(HilbertNode(frozenset({p}), p, HilbertRule.El, children=(el(frozenset({p}), p),))),
+            "at root: El takes no premises",
+        ),
+        (lambda: check_hilbert(HilbertNode(frozenset(), Box(p), HilbertRule.Nec)), "at root: Nec takes exactly one premise"),
+        (
+            lambda: check_hilbert(HilbertNode(frozenset({p}), p, HilbertRule.MP, children=(el(frozenset({p}), p),))),
+            "at root: MP takes exactly two premises",
+        ),
+        (lambda: check_hilbert(HilbertNode(frozenset({p}), p, "Rule")), "at root: unknown rule 'Rule'"),
+        (
+            lambda: _raised('{"context": [1], "conclusion": "p", "rule": "El"}'),
+            "certificate 'context' must hold only strings",
+        ),
+        (
+            lambda: _raised('{"conclusion": "p", "rule": "Ax", "axiom": "A1", "subst": {"phi": 1}}'),
+            "certificate 'subst' must map to strings",
+        ),
+    ],
+)
+def test_rejection_messages(run, message):
+    assert str(run()) == message
+
+
 def test_violation_path_points_into_tree():
     good = p_implies_p()
     # same conclusion so the root's MP shape still fits, forged justification

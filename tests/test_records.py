@@ -12,6 +12,7 @@ from islt.cut import CutInstance
 from islt.formula import Var
 from islt.hilbert import HilbertNode, HilbertRule
 from islt.search import BudgetExceeded, Proved, Unprovable
+from islt.semantics import KripkeModel
 from islt.sequent import Multiset, Sequent
 
 p = Var("p")
@@ -63,6 +64,11 @@ CASES = {
         "axiom=None, subst=None, children=(HilbertNode(context=frozenset({Var('p')}), conclusion=Var('p'), "
         "rule=<HilbertRule.El: 'El'>, axiom=None, subst=None, children=()),))",
         ("context", "conclusion", "rule", "axiom", "subst", "children"),
+    ),
+    "KripkeModel": (
+        lambda: KripkeModel(1, frozenset({(0, 0)}), frozenset(), {"p": frozenset({0})}),
+        "KripkeModel(worlds=1, leq=frozenset({(0, 0)}), r=frozenset(), valuation={'p': frozenset({0})})",
+        ("worlds", "leq", "r", "valuation"),
     ),
 }
 

@@ -210,6 +210,8 @@ def test_enumeration_counts():
     assert sum(1 for _ in enumerate_models(2, ["p"])) == 20
     assert sum(1 for _ in enumerate_models(1, ["p", "q"])) == 4
     assert sum(1 for _ in enumerate_models(2, ["p", "q"])) == 60
+    assert sum(1 for _ in enumerate_models(3, ["p"])) == 432
+    assert sum(1 for _ in enumerate_models(4, ["p"], bound=4)) == 21046
 
 
 def test_enumeration_matches_brute_force():
