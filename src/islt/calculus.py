@@ -280,14 +280,6 @@ def node(rule: RuleId, conclusion: Sequent, principal: Optional[Formula], *child
     return Derivation(conclusion, rule, principal, tuple(children))
 
 
-def idp(conclusion: Sequent) -> Derivation:
-    return node(RuleId.IdP, conclusion, None)
-
-
-def botl(conclusion: Sequent) -> Derivation:
-    return node(RuleId.BotL, conclusion, None)
-
-
 def walk(d: Derivation) -> Iterator[tuple[Derivation, tuple[int, ...]]]:
     """Every node of the tree under d with its path of premise indices from
     the root: a node before its premises, premises last to first, with an

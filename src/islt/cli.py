@@ -45,25 +45,20 @@ def __getattr__(name: str):
     return value
 
 
-def _env_budget() -> Optional[int]:
-    raw = os.environ.get(_BUDGET_ENV)
-    if raw is None or raw == "":
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SystemExit(f"error: {_BUDGET_ENV} must be an integer, got {raw!r}")
-    if value <= 0:
-        raise SystemExit(f"error: {_BUDGET_ENV} must be positive")
-    return value
-
-
 def _budget(flag: Optional[int]) -> Optional[int]:
     """--budget wins over ISLT_BUDGET; both must be positive."""
+    source = "--budget"
     if flag is None:
-        return _env_budget()
+        raw = os.environ.get(_BUDGET_ENV)
+        if not raw:
+            return None
+        try:
+            flag = int(raw)
+        except ValueError:
+            raise SystemExit(f"error: {_BUDGET_ENV} must be an integer, got {raw!r}")
+        source = _BUDGET_ENV
     if flag <= 0:
-        raise SystemExit("error: --budget must be positive")
+        raise SystemExit(f"error: {source} must be positive")
     return flag
 
 

@@ -20,9 +20,7 @@ from .calculus import (
     RIGHT_INVERTIBLE,
     Derivation,
     RuleId,
-    botl,
     check,
-    idp,
     node,
     uses_cut,
 )
@@ -157,7 +155,7 @@ def _cut(
     if r1 is RuleId.IdP:
         return contract(d2, phi)
     if r1 is RuleId.BotL:
-        return botl(conclusion)
+        return node(RuleId.BotL, conclusion, None)
     if r1 in LEFT_RULES:
         pi = d1.principal
         if r1 in RIGHT_INVERTIBLE:
@@ -290,9 +288,9 @@ def _commute_right_rule(d1: Derivation, d2: Derivation, go) -> Derivation:
     r2 = d2.rule
 
     if r2 is RuleId.IdP:
-        return idp(conclusion)
+        return node(RuleId.IdP, conclusion, None)
     if r2 is RuleId.BotL:
-        return botl(conclusion)
+        return node(RuleId.BotL, conclusion, None)
     if r2 is RuleId.ImpR:
         sub = go(weaken(d1, goal.left), d2.children[0])
         return node(RuleId.ImpR, conclusion, None, sub)

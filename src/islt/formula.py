@@ -9,9 +9,10 @@ hash-consing", 2006): the constructors return the one live node of each
 structure, so structurally equal formulas are the same object and ``==``
 and ``hash`` work by identity. Nodes are immutable. Each node stores its
 ``weight`` and its structural ``key`` once, built from its children's, so
-neither ``weight``, ``sort_key`` nor ``compare`` recurses. Comparing two
-keys still descends in C along the spine the two formulas share, and
-raises RecursionError when that is deeper than the recursion limit.
+neither ``weight`` nor ``sort_key`` recurses. ``sort_key`` is the total
+order on formulas. Comparing two keys still descends in C along the spine
+the two formulas share, and raises RecursionError when that is deeper than
+the recursion limit.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ def _immutable(self, *args):
 class _Record:
     """Base of the package's immutable value classes, with the behaviour of
     a frozen dataclass. A subclass names its fields in __match_args__, in
-    __init__ order, and sets its slots through the slot descriptors' __set__.
+    __init__ order, and sets its slots through the slot descriptors' __set__;
+    a subclass may instead keep its fields in its instance dict.
     The base gives it: no assignment or deletion; equality and hash by the
     field values, an instance of another class never being equal; the repr
     Name(field=value, ...); and pickling and copying through __init__."""
@@ -192,13 +194,6 @@ def sort_key(f: Formula) -> tuple:
     comparison never mixes types.
     """
     return f.key
-
-
-def compare(a: Formula, b: Formula) -> int:
-    """-1, 0 or 1; zero exactly on structural equality."""
-    if a is b:
-        return 0
-    return -1 if a.key < b.key else 1
 
 
 def variables(f: Formula) -> set[str]:

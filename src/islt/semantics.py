@@ -5,7 +5,10 @@ Frames carry an intuitionistic preorder leq and a transitive irreflexive
 modal relation r with (leq ; r) contained in r and r contained in leq; the
 two containments make forcing persistent and keep the box a strong Loeb
 modality on finite frames. r empty recovers plain intuitionistic models.
-Absence of a countermodel within the world bound proves nothing.
+``validate_model`` is the one statement of these conditions and of
+persistent valuations: enumeration lists candidate relations and up-sets
+and keeps those it accepts. Absence of a countermodel within the world
+bound proves nothing.
 
 Forcing is computed a frame at a time. A batch evaluates each subformula
 once on one frame under many valuations together: the extension of a
@@ -26,10 +29,10 @@ a formula is not bounded by Python's recursion limit.
 from __future__ import annotations
 
 import functools
-from itertools import combinations, islice, product
+from itertools import islice, product
 from typing import Callable, Iterator, Optional, Sequence
 
-from .formula import And, Bot, Box, Formula, Imp, Or, Var, _immutable
+from .formula import And, Bot, Box, Formula, Imp, Or, Var, _Record
 from .sequent import Sequent
 from .sequent import variables as sequent_variables
 
@@ -41,14 +44,14 @@ ENUMERATION_BOUND = 3
 _MAX_WIDTH = 4096
 
 
-class KripkeModel:
-    """A finite model; immutable, the valuation included. A model may
-    carry the batch it is evaluated through, which is not part of its
-    value: equality, hashing, repr, pickling and copying ignore it.
+class KripkeModel(_Record):
+    """A finite model; immutable, the valuation included. Its fields live
+    in the instance dict, so that enumeration can fill that dict without
+    running __init__, beside the batch the model may carry. The batch is
+    not part of its value: equality, hashing, repr, pickling and copying
+    read only the fields."""
 
-    Equality, hash and repr are by value, as for a formula._Record. It is
-    not one because its fields live in the instance dict, beside the batch,
-    so that enumeration can fill that dict without running __init__."""
+    __match_args__ = ("worlds", "leq", "r", "valuation")
 
     def __init__(
         self,
@@ -59,25 +62,9 @@ class KripkeModel:
     ) -> None:
         _set_dict(self, {"worlds": worlds, "leq": leq, "r": r, "valuation": dict(valuation)})
 
-    __setattr__ = __delattr__ = _immutable
-
-    def __repr__(self) -> str:
-        return f"KripkeModel(worlds={self.worlds!r}, leq={self.leq!r}, r={self.r!r}, valuation={self.valuation!r})"
-
     def __hash__(self):
+        # the valuation is a dict, which does not hash
         return hash((self.worlds, self.leq, self.r, tuple(sorted(self.valuation.items()))))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, KripkeModel)
-            and self.worlds == other.worlds
-            and self.leq == other.leq
-            and self.r == other.r
-            and self.valuation == other.valuation
-        )
-
-    def __reduce__(self):
-        return KripkeModel, (self.worlds, self.leq, self.r, self.valuation)
 
 
 # the instance dict's setter, which bypasses the immutability guard
@@ -321,48 +308,31 @@ def valid(m: KripkeModel, s: Sequent) -> bool:
     return not (batch.refuted(s) >> c & 1)
 
 
-def _preorders(n: int) -> list[frozenset[tuple[int, int]]]:
-    diagonal = [(w, w) for w in range(n)]
-    offdiag = [(a, b) for a in range(n) for b in range(n) if a != b]
-    found = []
-    for bits in product((False, True), repeat=len(offdiag)):
-        rel = set(diagonal)
-        rel.update(p for p, keep in zip(offdiag, bits) if keep)
-        if all((a, d) in rel for (a, b) in rel for (c, d) in rel if b == c):
-            found.append(frozenset(rel))
-    return found
+def _subsets(items: Sequence) -> Iterator[frozenset]:
+    """Every subset of items, in `product` order: the first item varies slowest."""
+    for bits in product((False, True), repeat=len(items)):
+        yield frozenset(x for x, keep in zip(items, bits) if keep)
 
 
-def _modal_relations(n: int, leq: frozenset[tuple[int, int]]) -> list[frozenset[tuple[int, int]]]:
-    strict = sorted(p for p in leq if p[0] != p[1])
-    found = []
-    for k in range(len(strict) + 1):
-        for chosen in combinations(strict, k):
-            r = frozenset(chosen)
-            if any((a, d) not in r for (a, b) in r for (c, d) in r if b == c):
-                continue
-            if any((a, d) not in r for (a, b) in leq for (c, d) in r if b == c):
-                continue
-            found.append(r)
-    return found
-
-
-def _upward_closed(n: int, leq: frozenset[tuple[int, int]]) -> list[frozenset[int]]:
-    out = []
-    for bits in product((False, True), repeat=n):
-        worlds = frozenset(w for w in range(n) if bits[w])
-        if all(b in worlds for (a, b) in leq if a in worlds):
-            out.append(worlds)
-    return out
+def _is_model(n: int, leq, r, valuation) -> bool:
+    return not validate_model(KripkeModel(n, leq, r, valuation))
 
 
 @functools.cache
 def _frames(n: int) -> list[_Frame]:
-    """The frames on n worlds in enumeration order, built on first use."""
+    """The frames on n worlds in enumeration order, built on first use:
+    each leq that validate_model accepts, sorted, with the up-sets it
+    accepts as a valuation, then each r inside leq that it accepts, sorted."""
+    worlds = range(n)
+    diagonal = frozenset((w, w) for w in worlds)
+    offdiag = [(a, b) for a in worlds for b in worlds if a != b]
+    candidates = (diagonal | pairs for pairs in _subsets(offdiag))
+    preorders = [leq for leq in candidates if _is_model(n, leq, frozenset(), {})]
     frames = []
-    for leq in sorted(_preorders(n), key=sorted):
-        ups = _upward_closed(n, leq)
-        for r in sorted(_modal_relations(n, leq), key=sorted):
+    for leq in sorted(preorders, key=sorted):
+        ups = [up for up in _subsets(worlds) if _is_model(n, leq, frozenset(), {"p": up})]
+        strict = sorted(pair for pair in leq if pair[0] != pair[1])
+        for r in sorted((r for r in _subsets(strict) if _is_model(n, leq, r, {})), key=sorted):
             frames.append(_Frame(n, leq, r, ups))
     return frames
 

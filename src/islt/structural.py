@@ -29,8 +29,6 @@ from .calculus import (
     Derivation,
     RuleId,
     SchemaError,
-    botl,
-    idp,
     node,
     premises_of,
     replacements,
@@ -190,9 +188,9 @@ def id_general(f: Formula, context: Multiset = Multiset()) -> Derivation:
     """A proof of f, context => f for arbitrary f, closing at atoms."""
     target = Sequent(context.add(f), f)
     if isinstance(f, Var):
-        return idp(target)
+        return node(RuleId.IdP, target, None)
     if isinstance(f, Bot):
-        return botl(target)
+        return node(RuleId.BotL, target, None)
     if isinstance(f, And):
         a, b = f.left, f.right
         la = node(RuleId.AndL, Sequent(context.add(f), a), f, id_general(a, context.add(b)))
@@ -231,7 +229,7 @@ def _curry_elim(gammas: list[Formula], goal: Formula, ctx: Multiset) -> Derivati
         prem = _curry_elim(rest, goal, ctx.add(head))
         return node(RuleId.AtomImpL, target, chain, prem)
     if isinstance(head, Bot):
-        return botl(target)
+        return node(RuleId.BotL, target, None)
     if isinstance(head, And):
         a, b = head.left, head.right
         inner = _curry_elim([a, b] + rest, goal, ctx)
@@ -290,7 +288,7 @@ def imp_left(p1: Derivation, p2: Derivation) -> Derivation:
 
     rule = p1.rule
     if rule is RuleId.BotL:
-        return botl(target)
+        return node(RuleId.BotL, target, None)
     if rule is RuleId.IdP:
         return node(RuleId.AtomImpL, target, fg, p2)
     if rule in (RuleId.OrR1, RuleId.OrR2):

@@ -258,7 +258,10 @@ _IDP = node(RuleId.IdP, seq("p => p"), None)
             lambda: _bad(RuleId.ImpImpL, "p -> q => q", "p -> q"),
             "at root: ImpImpL principal must have an implication antecedent",
         ),
-        (lambda: _bad(RuleId.BoxImpL, "p -> q => q", "p -> q"), "at root: BoxImpL principal must have a boxed antecedent"),
+        (
+            lambda: _bad(RuleId.BoxImpL, "p -> q => q", "p -> q"),
+            "at root: BoxImpL principal must have a boxed antecedent",
+        ),
         (lambda: _bad(RuleId.AndL, "p /\\ q => p"), "at root: AndL needs a principal formula"),
         (lambda: _bad(RuleId.AndL, "q => p", "p /\\ q"), "at root: principal p /\\ q not in the antecedent"),
         (lambda: _bad(RuleId.AndR, "=> p"), "at root: AndR needs a conjunction succedent"),

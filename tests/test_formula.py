@@ -16,7 +16,6 @@ from islt.formula import (
     Or,
     ParseError,
     Var,
-    compare,
     parse_formula,
     print_formula,
     sort_key,
@@ -102,9 +101,9 @@ def test_compare_total_order():
     pool = [formula(rng, rng.randrange(0, 4)) for _ in range(120)]
     for a in pool[:40]:
         for b in pool[:40]:
-            ca, cb = compare(a, b), compare(b, a)
-            assert ca == -cb
-            assert (ca == 0) == (a == b)
+            ka, kb = sort_key(a), sort_key(b)
+            assert [ka < kb, ka == kb, kb < ka].count(True) == 1
+            assert (ka == kb) == (a == b)
     # sorting twice is stable
     once = sorted(pool, key=sort_key)
     assert sorted(once, key=sort_key) == once
@@ -114,7 +113,7 @@ def test_compare_rank_order():
     ordered = [Bot(), p, And(p, p), Or(p, p), Imp(p, p), Box(p)]
     for i, a in enumerate(ordered):
         for b in ordered[i + 1 :]:
-            assert compare(a, b) == -1
+            assert sort_key(a) < sort_key(b)
 
 
 def test_variables():
@@ -189,7 +188,7 @@ def test_stored_weight_and_key_match_the_recursive_definitions():
     assert sorted(pool, key=sort_key) == sorted(pool, key=reference_sort_key)
     for a, b in zip(pool, pool[1:]):
         ka, kb = reference_sort_key(a), reference_sort_key(b)
-        assert compare(a, b) == (ka > kb) - (ka < kb)
+        assert (sort_key(a) < sort_key(b)) == (ka < kb)
 
 
 def test_deep_formulas_need_no_recursion():
@@ -198,7 +197,7 @@ def test_deep_formulas_need_no_recursion():
         f = Imp(q, f) if i % 2 else Box(f)
     assert weight(f) == 1 + 10_000 * 1 + 10_000 * 2
     assert hash(f) == hash(f) and (f == f) is True
-    assert compare(f, f) == 0 and compare(f, p) == 1 and compare(Box(f), f) == 1
+    assert sort_key(f) == sort_key(f) and sort_key(f) > sort_key(p) and sort_key(Box(f)) > sort_key(f)
     ms = Multiset.of(p, Box(f)).add(f).add(f)
     assert ms.count(f) == 2 and len(ms) == 4
     assert ms.remove(f).count(f) == 1

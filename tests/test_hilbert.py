@@ -178,7 +178,10 @@ def _raised(text):
             lambda: check_hilbert(HilbertNode(frozenset({p}), p, HilbertRule.El, children=(el(frozenset({p}), p),))),
             "at root: El takes no premises",
         ),
-        (lambda: check_hilbert(HilbertNode(frozenset(), Box(p), HilbertRule.Nec)), "at root: Nec takes exactly one premise"),
+        (
+            lambda: check_hilbert(HilbertNode(frozenset(), Box(p), HilbertRule.Nec)),
+            "at root: Nec takes exactly one premise",
+        ),
         (
             lambda: check_hilbert(HilbertNode(frozenset({p}), p, HilbertRule.MP, children=(el(frozenset({p}), p),))),
             "at root: MP takes exactly two premises",
