@@ -6,20 +6,23 @@ into non-boxed and boxed parts for BoxImpL and SLtR is always the maximal
 one, and check() rejects anything else.
 
 This module is the one place that says what each rule does to its
-conclusion: premises_of gives the premises of an instance, replacements
-what each premise of a context-keeping left rule puts in the principal's
-place. The transforms and cut elimination read their premise shapes from
-these two rather than restating them.
+conclusion. Each rule's shape is stated once, in the tables below, and
+expand, premises_of, replacements and the rule sets read it there.
+premises_of gives the premises of an instance, replacements what each
+premise of a context-keeping left rule puts in the principal's place. The
+transforms and cut elimination read their premise shapes from these two
+rather than restating them.
 """
 
 from __future__ import annotations
 
 import json
 from enum import Enum
+from functools import reduce
 from typing import Iterator, Optional
 
 from .formula import And, Bot, Box, Formula, Imp, Or, Var, _Record, parse_formula, print_formula, sort_key
-from .sequent import Multiset, Sequent, partition_boxed
+from .sequent import Multiset, Sequent, unbox_one_level
 
 
 class RuleId(str, Enum):
@@ -40,9 +43,28 @@ class RuleId(str, Enum):
     Cut = "Cut"
 
 
-LEFT_RULES = frozenset(
-    {RuleId.AndL, RuleId.OrL, RuleId.AtomImpL, RuleId.AndImpL, RuleId.OrImpL, RuleId.ImpImpL, RuleId.BoxImpL}
-)
+# the left rule a principal selects by its connective or, for an implication,
+# by its antecedent's (Dyckhoff's G4ip); an implication out of # is inert
+_LEFT_OF = {And: RuleId.AndL, Or: RuleId.OrL}
+_IMP_LEFT_OF = {Var: RuleId.AtomImpL, And: RuleId.AndImpL, Or: RuleId.OrImpL, Imp: RuleId.ImpImpL, Box: RuleId.BoxImpL}
+# the right rules a succedent selects by its connective
+_RIGHT_OF = {And: (RuleId.AndR,), Or: (RuleId.OrR1, RuleId.OrR2), Imp: (RuleId.ImpR,), Box: (RuleId.SLtR,)}
+# what a rule says of a principal or succedent of the wrong shape
+_WRONG_SHAPE = {
+    RuleId.AndL: "AndL principal must be a conjunction",
+    RuleId.OrL: "OrL principal must be a disjunction",
+    RuleId.AtomImpL: "AtomImpL principal must be an implication with atomic antecedent",
+    RuleId.AndImpL: "AndImpL principal must have a conjunction antecedent",
+    RuleId.OrImpL: "OrImpL principal must have a disjunction antecedent",
+    RuleId.ImpImpL: "ImpImpL principal must have an implication antecedent",
+    RuleId.BoxImpL: "BoxImpL principal must have a boxed antecedent",
+    RuleId.AndR: "AndR needs a conjunction succedent",
+    RuleId.OrR1: "OrR1 needs a disjunction succedent",
+    RuleId.OrR2: "OrR2 needs a disjunction succedent",
+    RuleId.ImpR: "ImpR needs an implication succedent",
+    RuleId.SLtR: "SLtR needs a boxed succedent",
+}
+LEFT_RULES = frozenset(_LEFT_OF.values()) | frozenset(_IMP_LEFT_OF.values())
 # rules whose every premise is derivable whenever the conclusion is
 # (structural.invert); ImpImpL and BoxImpL have this only for the right premise
 INVERTIBLE = frozenset(
@@ -55,9 +77,14 @@ RIGHT_INVERTIBLE = frozenset({RuleId.ImpImpL, RuleId.BoxImpL})
 # succedent and puts pieces of the principal in its place (replacements)
 INVERTIBLE_LEFT = INVERTIBLE & LEFT_RULES
 # rules that act on the succedent or close a leaf: they take no principal
-_NO_PRINCIPAL = frozenset(
-    {RuleId.BotL, RuleId.IdP, RuleId.AndR, RuleId.OrR1, RuleId.OrR2, RuleId.ImpR, RuleId.SLtR}
-)
+_NO_PRINCIPAL = frozenset(RuleId) - LEFT_RULES - {RuleId.Cut}
+
+
+def _left_rule(f: Optional[Formula]) -> Optional[RuleId]:
+    """The left rule whose principal has f's shape, if any."""
+    if type(f) is Imp:
+        return _IMP_LEFT_OF.get(type(f.left))
+    return _LEFT_OF.get(type(f))
 
 
 class SchemaError(ValueError):
@@ -122,32 +149,30 @@ _set_principal, _set_children = Derivation.principal.__set__, Derivation.childre
 _set_path, _set_reason = Violation.path.__set__, Violation.reason.__set__
 
 
+def _shaped(rule: RuleId, f: Optional[Formula]) -> Formula:
+    """f, when it has the shape rule acts on: the principal of a left rule,
+    the succedent of a right rule. SchemaError with rule's message if not."""
+    if rule is _left_rule(f) or rule in _RIGHT_OF.get(type(f), ()):
+        return f
+    raise SchemaError(_WRONG_SHAPE[rule])
+
+
 def replacements(rule: RuleId, p: Optional[Formula]) -> tuple[tuple[Formula, ...], ...]:
     """For AndL, OrL, AtomImpL, AndImpL or OrImpL with principal p: the
     formulas each premise puts in p's place, premise by premise, in schema
     order. SchemaError when p has the wrong shape for the rule."""
+    if rule not in INVERTIBLE_LEFT:
+        raise SchemaError(f"{rule.value} does not replace its principal in place")
+    a, b = _shaped(rule, p).left, p.right
     if rule is RuleId.AndL:
-        if not isinstance(p, And):
-            raise SchemaError("AndL principal must be a conjunction")
-        return ((p.left, p.right),)
+        return ((a, b),)
     if rule is RuleId.OrL:
-        if not isinstance(p, Or):
-            raise SchemaError("OrL principal must be a disjunction")
-        return ((p.left,), (p.right,))
-    head = p.left if isinstance(p, Imp) else None
+        return ((a,), (b,))
     if rule is RuleId.AtomImpL:
-        if not isinstance(head, Var):
-            raise SchemaError("AtomImpL principal must be an implication with atomic antecedent")
-        return ((p.right,),)
+        return ((b,),)
     if rule is RuleId.AndImpL:
-        if not isinstance(head, And):
-            raise SchemaError("AndImpL principal must have a conjunction antecedent")
-        return ((Imp(head.left, Imp(head.right, p.right)),),)
-    if rule is RuleId.OrImpL:
-        if not isinstance(head, Or):
-            raise SchemaError("OrImpL principal must have a disjunction antecedent")
-        return ((Imp(head.left, p.right), Imp(head.right, p.right)),)
-    raise SchemaError(f"{rule.value} does not replace its principal in place")
+        return ((Imp(a.left, Imp(a.right, b)),),)
+    return ((Imp(a.left, b), Imp(a.right, b)),)  # OrImpL
 
 
 def premises_of(rule: RuleId, conclusion: Sequent, principal: Optional[Formula]) -> tuple[Sequent, ...]:
@@ -155,14 +180,6 @@ def premises_of(rule: RuleId, conclusion: Sequent, principal: Optional[Formula])
     if principal is not None and rule in _NO_PRINCIPAL:
         raise SchemaError(f"{rule.value} takes no principal formula")
     ant, suc = conclusion.ant, conclusion.suc
-
-    def need_principal() -> Formula:
-        if principal is None:
-            raise SchemaError(f"{rule.value} needs a principal formula")
-        if principal not in ant:
-            raise SchemaError(f"principal {print_formula(principal)} not in the antecedent")
-        return principal
-
     if rule is RuleId.BotL:
         if Bot() not in ant:
             raise SchemaError("BotL needs # in the antecedent")
@@ -171,60 +188,37 @@ def premises_of(rule: RuleId, conclusion: Sequent, principal: Optional[Formula])
         if not isinstance(suc, Var) or suc not in ant:
             raise SchemaError("IdP needs an atomic succedent present in the antecedent")
         return ()
-    if rule in INVERTIBLE_LEFT:
-        p = need_principal()
-        parts = replacements(rule, p)
-        if rule is RuleId.AtomImpL and p.left not in ant:
-            raise SchemaError("AtomImpL needs the atom alongside the implication")
-        rest = ant.remove(p)
-        out = []
-        for pieces in parts:
-            a = rest
-            for x in pieces:
-                a = a.add(x)
-            out.append(Sequent(a, suc))
-        return tuple(out)
+    if rule in LEFT_RULES:
+        if principal is None:
+            raise SchemaError(f"{rule.value} needs a principal formula")
+        if principal not in ant:
+            raise SchemaError(f"principal {print_formula(principal)} not in the antecedent")
+        if rule in INVERTIBLE_LEFT:
+            parts = replacements(rule, principal)
+            if rule is RuleId.AtomImpL and principal.left not in ant:
+                raise SchemaError("AtomImpL needs the atom alongside the implication")
+            rest = ant.remove(principal)
+            return tuple(Sequent(reduce(Multiset.add, pieces, rest), suc) for pieces in parts)
+        # ImpImpL or BoxImpL: the right premise puts b in the principal's place
+        a, b = _shaped(rule, principal).left, principal.right
+        rest = ant.remove(principal)
+        if rule is RuleId.ImpImpL:
+            left = Sequent(rest.add(Imp(a.right, b)), a)
+        else:
+            left = Sequent(unbox_one_level(rest).add(b).add(a), a.body)
+        return (left, Sequent(rest.add(b), suc))
+    if rule is RuleId.Cut:
+        raise SchemaError("no schema for rule Cut")
+    _shaped(rule, suc)
     if rule is RuleId.AndR:
-        if not isinstance(suc, And):
-            raise SchemaError("AndR needs a conjunction succedent")
         return (Sequent(ant, suc.left), Sequent(ant, suc.right))
     if rule is RuleId.OrR1:
-        if not isinstance(suc, Or):
-            raise SchemaError("OrR1 needs a disjunction succedent")
         return (Sequent(ant, suc.left),)
     if rule is RuleId.OrR2:
-        if not isinstance(suc, Or):
-            raise SchemaError("OrR2 needs a disjunction succedent")
         return (Sequent(ant, suc.right),)
     if rule is RuleId.ImpR:
-        if not isinstance(suc, Imp):
-            raise SchemaError("ImpR needs an implication succedent")
         return (Sequent(ant.add(suc.left), suc.right),)
-    if rule is RuleId.ImpImpL:
-        p = need_principal()
-        if not isinstance(p, Imp) or not isinstance(p.left, Imp):
-            raise SchemaError("ImpImpL principal must have an implication antecedent")
-        inner = p.left
-        rest = ant.remove(p)
-        return (
-            Sequent(rest.add(Imp(inner.right, p.right)), inner),
-            Sequent(rest.add(p.right), suc),
-        )
-    if rule is RuleId.BoxImpL:
-        p = need_principal()
-        if not isinstance(p, Imp) or not isinstance(p.left, Box):
-            raise SchemaError("BoxImpL principal must have a boxed antecedent")
-        rest = ant.remove(p)
-        phi, gamma = partition_boxed(rest)
-        left = Sequent(phi.union(gamma).add(p.right).add(p.left), p.left.body)
-        right = Sequent(rest.add(p.right), suc)
-        return (left, right)
-    if rule is RuleId.SLtR:
-        if not isinstance(suc, Box):
-            raise SchemaError("SLtR needs a boxed succedent")
-        phi, gamma = partition_boxed(ant)
-        return (Sequent(phi.union(gamma).add(suc), suc.body),)
-    raise SchemaError(f"no schema for rule {rule.value}")
+    return (Sequent(unbox_one_level(ant).add(suc), suc.body),)  # SLtR
 
 
 _RULE_RANK = {rule: i for i, rule in enumerate(RuleId)}
@@ -232,46 +226,15 @@ _RULE_RANK = {rule: i for i, rule in enumerate(RuleId)}
 
 def expand(s: Sequent) -> list[RuleInstance]:
     """All backward rule instances at s, deterministically ordered."""
-    out: list[RuleInstance] = []
-
-    def emit(rule: RuleId, principal: Optional[Formula]) -> None:
-        out.append(RuleInstance(rule, s, principal))
-
-    if Bot() in s.ant:
-        emit(RuleId.BotL, None)
-    if isinstance(s.suc, Var) and s.suc in s.ant:
-        emit(RuleId.IdP, None)
-
-    for f in s.ant.distinct():
-        if isinstance(f, And):
-            emit(RuleId.AndL, f)
-        elif isinstance(f, Or):
-            emit(RuleId.OrL, f)
-        elif isinstance(f, Imp):
-            head = f.left
-            if isinstance(head, Var):
-                if head in s.ant:
-                    emit(RuleId.AtomImpL, f)
-            elif isinstance(head, And):
-                emit(RuleId.AndImpL, f)
-            elif isinstance(head, Or):
-                emit(RuleId.OrImpL, f)
-            elif isinstance(head, Imp):
-                emit(RuleId.ImpImpL, f)
-            elif isinstance(head, Box):
-                emit(RuleId.BoxImpL, f)
-            # an implication out of # has no rule; it is inert
-
-    if isinstance(s.suc, And):
-        emit(RuleId.AndR, None)
-    elif isinstance(s.suc, Or):
-        emit(RuleId.OrR1, None)
-        emit(RuleId.OrR2, None)
-    elif isinstance(s.suc, Imp):
-        emit(RuleId.ImpR, None)
-    elif isinstance(s.suc, Box):
-        emit(RuleId.SLtR, None)
-
+    ant, suc = s.ant, s.suc
+    out = [RuleInstance(RuleId.BotL, s)] if Bot() in ant else []
+    if isinstance(suc, Var) and suc in ant:
+        out.append(RuleInstance(RuleId.IdP, s))
+    for f in ant.distinct():
+        rule = _left_rule(f)
+        if rule is not None and (rule is not RuleId.AtomImpL or f.left in ant):
+            out.append(RuleInstance(rule, s, f))
+    out.extend(RuleInstance(rule, s) for rule in _RIGHT_OF.get(type(suc), ()))
     out.sort(key=lambda inst: (_RULE_RANK[inst.rule], sort_key(inst.principal) if inst.principal else ()))
     return out
 
@@ -300,6 +263,8 @@ def check(d: Derivation, allow_cut: bool = False) -> Optional[Violation]:
         if n.rule is RuleId.Cut:
             if not allow_cut:
                 return Violation(path, "Cut node in a cut-free certificate")
+            if n.principal is not None:
+                return Violation(path, "Cut takes no principal formula")
             if len(n.children) != 2:
                 return Violation(path, "Cut needs exactly two premises")
             left, right = n.children

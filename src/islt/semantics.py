@@ -341,6 +341,8 @@ def _batches(max_worlds: int, variables: Sequence[str], bound: int) -> Iterator[
     """Batches covering every model of `enumerate_models`, in its order."""
     if max_worlds > bound:
         raise ValueError(f"max_worlds {max_worlds} exceeds the enumeration bound {bound}")
+    if max_worlds < 1:
+        raise ValueError(f"max_worlds {max_worlds} is not positive")
     names = tuple(variables)
     for n in range(1, max_worlds + 1):
         for frame in _frames(n):

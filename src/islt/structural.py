@@ -29,6 +29,7 @@ from .calculus import (
     Derivation,
     RuleId,
     SchemaError,
+    _left_rule,
     node,
     premises_of,
     replacements,
@@ -152,7 +153,7 @@ def invert(rule: RuleId, p: Derivation, principal: Optional[Formula] = None) -> 
 def box_imp_lir(p: Derivation, principal: Formula) -> Derivation:
     """Replace one occurrence of []a -> b by b on the left; height
     preserving (inversion into the right premise of BoxImpL)."""
-    if not (isinstance(principal, Imp) and isinstance(principal.left, Box)):
+    if _left_rule(principal) is not RuleId.BoxImpL:
         raise TransformError("needs a box-headed implication")
     return _replace_into(p, principal, [principal.right], 1)
 
@@ -160,7 +161,7 @@ def box_imp_lir(p: Derivation, principal: Formula) -> Derivation:
 def imp_imp_lir(p: Derivation, principal: Formula) -> Derivation:
     """Replace one occurrence of (a -> b) -> c by c on the left; height
     preserving (inversion into the right premise of ImpImpL)."""
-    if not (isinstance(principal, Imp) and isinstance(principal.left, Imp)):
+    if _left_rule(principal) is not RuleId.ImpImpL:
         raise TransformError("needs an implication-headed implication")
     return _replace_into(p, principal, [principal.right], 1)
 
@@ -169,7 +170,7 @@ def imp_imp_lil(p: Derivation, principal: Formula) -> Derivation:
     """Replace one occurrence of (a -> b) -> c by a, b -> c, b -> c on the
     left. Not height preserving: where the occurrence is principal the
     rebuild goes through imp_left."""
-    if not (isinstance(principal, Imp) and isinstance(principal.left, Imp)):
+    if _left_rule(principal) is not RuleId.ImpImpL:
         raise TransformError("needs an implication-headed implication")
     if principal not in p.root.ant:
         raise TransformError("principal occurrence missing")

@@ -112,11 +112,28 @@ def test_falsum_headed_implications_are_inert():
     assert all(pr != Imp(Bot(), p) for _, pr in rules)
 
 
+def _accepted(s):
+    """Every (rule, principal) pair premises_of accepts at s: each rule but
+    Cut, with no principal and with each distinct antecedent formula."""
+    out = set()
+    for rule in set(RuleId) - {RuleId.Cut}:
+        for principal in [None, *s.ant.distinct()]:
+            try:
+                premises_of(rule, s, principal)
+            except SchemaError:
+                continue
+            out.add((rule, principal))
+    return out
+
+
 def test_expand_is_deterministic_and_duplicate_free():
     rng = random.Random(23)
-    for _ in range(300):
-        s = random_sequent(rng, 4)
+    # an inert # -> p, AtomImpL without its atom, BoxImpL beside a boxed atom
+    hand = [seq("# -> p, q => q"), seq("p -> q => q"), seq("[]p -> q, []r, # => p \\/ q")]
+    for s in hand + [random_sequent(rng, 4) for _ in range(300)]:
         a = expand(s)
+        # expand lists exactly the instances premises_of accepts
+        assert {(i.rule, i.principal) for i in a} == _accepted(s)
         b = expand(s)
         assert [(i.rule, i.principal, i.premises) for i in a] == [
             (i.rule, i.principal, i.premises) for i in b
@@ -203,6 +220,12 @@ def test_check_rejects_a_principal_on_rules_that_take_none():
         premises_of(rule, seq(text), None)
         with pytest.raises(SchemaError, match="takes no principal"):
             premises_of(rule, seq(text), q)
+    # a Cut node, which check matches itself rather than through premises_of
+    cut = node(RuleId.Cut, seq("q => q"), Imp(q, q), node(RuleId.IdP, seq("q => q"), None),
+               node(RuleId.IdP, seq("q, q => q"), None))
+    v = check(cut, allow_cut=True)
+    assert v is not None and v.path == () and v.reason == "Cut takes no principal formula"
+    assert check(node(RuleId.Cut, cut.root, None, *cut.children), allow_cut=True) is None
 
 
 def test_check_cut_shape():

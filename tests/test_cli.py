@@ -166,6 +166,19 @@ def test_cutelim_rejects_broken_certificate(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_cutelim_rejects_a_principal_on_cut(capsys, tmp_path):
+    s = parse_sequent("q => q")
+    leaf = calculus.node(calculus.RuleId.IdP, s, None)
+    d = calculus.node(calculus.RuleId.Cut, s, parse_sequent("=> q -> q").suc, leaf,
+                      calculus.node(calculus.RuleId.IdP, parse_sequent("q, q => q"), None))
+    src = tmp_path / "cut.json"
+    src.write_text(calculus.dumps(d), encoding="utf-8")
+    code, out, err = run(capsys, "cutelim", str(src), "-o", str(tmp_path / "out.json"))
+    assert (code, out) == (2, "")
+    assert err == "error: input fails checking: at root: Cut takes no principal formula\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_countermodel_found(capsys):
     code, out, _ = run(capsys, "countermodel", "[]p -> p")
     assert code == 0
@@ -182,9 +195,12 @@ def test_countermodel_none(capsys):
     assert "no countermodel within" in out
 
 
-def test_countermodel_bound_error(capsys):
-    code, _, err = run(capsys, "countermodel", "--max-worlds", "9", "p")
+@pytest.mark.parametrize("worlds", ["9", "0", "-1"])
+def test_countermodel_bound_error(capsys, worlds):
+    # above the enumeration bound, or no world at all: an error, not a verdict
+    code, out, err = run(capsys, "countermodel", "--max-worlds", worlds, "p")
     assert code == 2
+    assert out == ""
     assert "error" in err
 
 

@@ -250,6 +250,10 @@ def test_enumeration_bound():
         list(enumerate_models(ENUMERATION_BOUND + 1, ["p"]))
     with pytest.raises(ValueError):
         find_countermodel(parse_sequent("=> p"), max_worlds=4)
+    with pytest.raises(ValueError):
+        list(enumerate_models(0, ["p"]))
+    with pytest.raises(ValueError):
+        find_countermodel(parse_sequent("=> p"), max_worlds=0)
     # raising the bound explicitly is allowed
     assert find_countermodel(parse_sequent("p => p"), max_worlds=1, bound=5) is None
 
