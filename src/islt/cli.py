@@ -68,6 +68,15 @@ def _parse_goal(text: str, as_sequent: bool) -> Sequent:
     return Sequent(Multiset(), parse_formula(text))
 
 
+def _verdict(bad) -> int:
+    """Report a checker's verdict: ok, or what is wrong and where."""
+    if bad is None:
+        print("ok")
+        return 0
+    print(f"invalid: {bad}")
+    return 1
+
+
 def _cmd_prove(args: argparse.Namespace) -> int:
     from . import calculus
     from .search import BudgetExceeded, Proved, Unprovable, prove
@@ -107,12 +116,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     with open(args.certificate, "r", encoding="utf-8") as fh:
         d = calculus.loads(fh.read())
-    bad = calculus.check(d)
-    if bad is None:
-        print("ok")
-        return 0
-    print(f"invalid: {bad}")
-    return 1
+    return _verdict(calculus.check(d))
 
 
 def _cmd_cutelim(args: argparse.Namespace) -> int:
@@ -124,8 +128,7 @@ def _cmd_cutelim(args: argparse.Namespace) -> int:
     try:
         out = eliminate(d)
     except CutError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        raise SystemExit(f"error: {e}")
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(calculus.dumps(out))
         fh.write("\n")
@@ -138,7 +141,10 @@ def _cmd_countermodel(args: argparse.Namespace) -> int:
 
     goal = _parse_goal(args.goal, args.sequent)
     max_worlds = semantics.ENUMERATION_BOUND if args.max_worlds is None else args.max_worlds
-    found = semantics.find_countermodel(goal, max_worlds=max_worlds)
+    try:
+        found = semantics.find_countermodel(goal, max_worlds=max_worlds)
+    except ValueError as e:  # a well-formed request past the bound, not malformed input
+        raise SystemExit(f"error: {e}")
     if found is None:
         print(f"no countermodel within {max_worlds} worlds")
         return 1
@@ -162,12 +168,7 @@ def _cmd_hilbert_check(args: argparse.Namespace) -> int:
 
     with open(args.proof, "r", encoding="utf-8") as fh:
         d = hilbert.loads(fh.read())
-    bad = hilbert.check_hilbert(d)
-    if bad is None:
-        print("ok")
-        return 0
-    print(f"invalid: {bad}")
-    return 1
+    return _verdict(hilbert.check_hilbert(d))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -217,10 +218,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (ParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (json.JSONDecodeError, KeyError, ValueError) as e:

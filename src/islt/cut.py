@@ -287,18 +287,12 @@ def _commute_right_rule(d1: Derivation, d2: Derivation, go) -> Derivation:
     conclusion = Sequent(ctx, goal)
     r2 = d2.rule
 
-    if r2 is RuleId.IdP:
-        return node(RuleId.IdP, conclusion, None)
-    if r2 is RuleId.BotL:
-        return node(RuleId.BotL, conclusion, None)
+    if r2 in (RuleId.IdP, RuleId.BotL, RuleId.AndR, RuleId.OrR1, RuleId.OrR2):
+        # the premises keep the antecedent, so the cut moves into each one
+        return node(r2, conclusion, None, *(go(d1, c) for c in d2.children))
     if r2 is RuleId.ImpR:
         sub = go(weaken(d1, goal.left), d2.children[0])
         return node(RuleId.ImpR, conclusion, None, sub)
-    if r2 is RuleId.AndR:
-        subs = [go(d1, c) for c in d2.children]
-        return node(RuleId.AndR, conclusion, None, *subs)
-    if r2 in (RuleId.OrR1, RuleId.OrR2):
-        return node(r2, conclusion, None, go(d1, d2.children[0]))
     if r2 in INVERTIBLE_LEFT:
         pi = d2.principal
         mirrored = invert(r2, d1, pi)

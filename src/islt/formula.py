@@ -4,6 +4,11 @@ The language has propositional variables, falsum, conjunction, disjunction,
 implication and a single box modality. There is no diamond and no primitive
 negation; ``~a`` is accepted by the parser as sugar for ``a -> #``.
 
+The binding table of the concrete syntax lives on the classes: And, Or and
+Imp each state their binding level, grouping and spelling, ``_UNARY`` is the
+level of ``[]``, ``~``, variables and ``#``, and ``_INFIX`` maps tokens to
+connectives. The precedence-climbing parser and the printer both read it.
+
 Formulas are hash-consed (Filliatre and Conchon, "Type-safe modular
 hash-consing", 2006): the constructors return the one live node of each
 structure, so structurally equal formulas are the same object and ``==``
@@ -59,10 +64,14 @@ class _Record:
         return type(self), self._fields()
 
 
+_UNARY = 3  # [], ~, variables and #: tighter than every binary connective
+
+
 class Formula(_Record):
     """Base class; concrete shapes are Var, Bot, And, Or, Imp, Box."""
 
     __slots__ = ("weight", "key", "__weakref__")
+    _LEVEL = _UNARY
 
     # hash-consed, so structurally equal formulas are one object
     __eq__, __hash__ = object.__eq__, object.__hash__
@@ -125,6 +134,15 @@ class _Binary(Formula):
     __slots__ = __match_args__ = ("left", "right")
     _RANK: int
     _WEIGHT: int  # added to the weights of the two children
+    _LEVEL: int  # binding level in the concrete syntax; higher binds tighter
+    _GROUPS_RIGHT: bool
+    _SPELLING: str
+    _FLOORS: tuple[int, int]  # the least level of each operand that needs no parentheses
+
+    def __init_subclass__(cls) -> None:
+        # the operand on the side the connective groups toward may bind as
+        # loosely as the connective itself; the other must bind tighter
+        cls._FLOORS = (cls._LEVEL + cls._GROUPS_RIGHT, cls._LEVEL + (not cls._GROUPS_RIGHT))
 
     def __new__(cls, left: Formula, right: Formula):
         entry = (cls, id(left), id(right))
@@ -142,16 +160,19 @@ class _Binary(Formula):
 class And(_Binary):
     __slots__ = ()
     _RANK, _WEIGHT = 2, 2
+    _LEVEL, _GROUPS_RIGHT, _SPELLING = 2, False, "/\\"
 
 
 class Or(_Binary):
     __slots__ = ()
     _RANK, _WEIGHT = 3, 1
+    _LEVEL, _GROUPS_RIGHT, _SPELLING = 1, False, "\\/"
 
 
 class Imp(_Binary):
     __slots__ = ()
     _RANK, _WEIGHT = 4, 1
+    _LEVEL, _GROUPS_RIGHT, _SPELLING = 0, True, "->"
 
 
 class Box(Formula):
@@ -208,10 +229,8 @@ def variables(f: Formula) -> set[str]:
         seen.add(g)
         if isinstance(g, Var):
             out.add(g.name)
-        elif isinstance(g, Box):
-            todo.append(g.body)
-        elif not isinstance(g, Bot):
-            todo += (g.left, g.right)
+        else:
+            todo += g._fields()
     return out
 
 
@@ -226,26 +245,25 @@ class ParseError(ValueError):
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<arrow>->)|(?P<seq>=>)|(?P<or>\\/)|(?P<and>/\\)"
     r"|(?P<box>\[\])|(?P<neg>~)|(?P<bot>\#)|(?P<lpar>\()|(?P<rpar>\))"
-    r"|(?P<comma>,)|(?P<ident>[a-z][a-zA-Z0-9_]*))"
+    r"|(?P<comma>,)|(?P<ident>[a-z][a-zA-Z0-9_]*)|(?P<eof>\Z)|(?P<bad>.))"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, position) of each token, up to and including eof."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:].lstrip()
-            if not rest:
-                break
-            at = len(text) - len(rest)
-            raise ParseError(f"unexpected character {rest[0]!r}", at)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
+        if kind == "eof":
+            break
     return tokens
+
+
+# token kind of each binary connective -> its class
+_INFIX = {"arrow": Imp, "or": Or, "and": And}
 
 
 class _Parser:
@@ -261,53 +279,37 @@ class _Parser:
         self.i += 1
         return tok
 
-    _SPELLING = {
-        "arrow": "'->'",
-        "seq": "'=>'",
-        "rpar": "')'",
-        "comma": "','",
-    }
+    _SPELLING = {"seq": "'=>'", "rpar": "')'"}
 
-    def expect(self, kind: str) -> tuple[str, str, int]:
+    def expect(self, kind: str) -> None:
         tok = self.next()
         if tok[0] != kind:
-            shown = self._SPELLING.get(kind, kind)
+            shown = self._SPELLING[kind]
             raise ParseError(f"expected {shown}, found {tok[1] or 'end of input'!r}", tok[2])
-        return tok
 
-    def formula(self) -> Formula:
-        left = self.disjunction()
-        if self.peek() == "arrow":
-            self.next()
-            return Imp(left, self.formula())
-        return left
+    def finish(self, result):
+        """result, provided nothing but the end of input is left."""
+        kind, value, pos = self.next()
+        if kind != "eof":
+            raise ParseError(f"trailing input {value!r}", pos)
+        return result
 
-    def disjunction(self) -> Formula:
-        f = self.conjunction()
-        while self.peek() == "or":
-            self.next()
-            f = Or(f, self.conjunction())
-        return f
-
-    def conjunction(self) -> Formula:
+    def formula(self, floor: int = 0) -> Formula:
+        """Precedence climbing: a unary formula, then each binary connective
+        that binds at least at floor, with its right operand parsed at that
+        connective's right floor."""
         f = self.unary()
-        while self.peek() == "and":
+        while (cls := _INFIX.get(self.peek())) is not None and cls._LEVEL >= floor:
             self.next()
-            f = And(f, self.unary())
+            f = cls(f, self.formula(cls._FLOORS[1]))
         return f
 
     def unary(self) -> Formula:
-        kind = self.peek()
+        kind, value, pos = self.next()
         if kind == "box":
-            self.next()
             return Box(self.unary())
         if kind == "neg":
-            self.next()
             return Imp(self.unary(), Bot())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        kind, value, pos = self.next()
         if kind == "ident":
             return Var(value)
         if kind == "bot":
@@ -321,44 +323,21 @@ class _Parser:
 
 def parse_formula(text: str) -> Formula:
     p = _Parser(text)
-    f = p.formula()
-    kind, value, pos = p.next()
-    if kind != "eof":
-        raise ParseError(f"trailing input {value!r}", pos)
-    return f
-
-
-# Binding strength; parenthesize a child whose level is below the slot's demand.
-_LEVEL_IMP, _LEVEL_OR, _LEVEL_AND, _LEVEL_UNARY, _LEVEL_ATOM = 0, 1, 2, 3, 4
-
-
-def _level(f: Formula) -> int:
-    if isinstance(f, Imp):
-        return _LEVEL_IMP
-    if isinstance(f, Or):
-        return _LEVEL_OR
-    if isinstance(f, And):
-        return _LEVEL_AND
-    if isinstance(f, Box):
-        return _LEVEL_UNARY
-    return _LEVEL_ATOM
+    return p.finish(p.formula())
 
 
 def _emit(f: Formula, demand: int) -> str:
+    """f's text, parenthesized when it binds more loosely than demand."""
     if isinstance(f, Var):
         text = f.name
     elif isinstance(f, Bot):
         text = "#"
-    elif isinstance(f, Imp):
-        # right associative: left operand needs strictly tighter binding
-        text = f"{_emit(f.left, _LEVEL_OR)} -> {_emit(f.right, _LEVEL_IMP)}"
-    elif isinstance(f, Or):
-        text = f"{_emit(f.left, _LEVEL_OR)} \\/ {_emit(f.right, _LEVEL_AND)}"
-    elif isinstance(f, And):
-        text = f"{_emit(f.left, _LEVEL_AND)} /\\ {_emit(f.right, _LEVEL_UNARY)}"
+    elif isinstance(f, Box):
+        text = f"[]{_emit(f.body, _UNARY)}"
     else:
-        text = f"[]{_emit(f.body, _LEVEL_UNARY)}"
-    if _level(f) < demand:
+        left, right = f._FLOORS
+        text = f"{_emit(f.left, left)} {f._SPELLING} {_emit(f.right, right)}"
+    if f._LEVEL < demand:
         return f"({text})"
     return text
 
@@ -366,4 +345,4 @@ def _emit(f: Formula, demand: int) -> str:
 def print_formula(f: Formula) -> str:
     """Canonical ASCII rendering with the fewest parentheses; a fixed point
     of parse_formula (negation sugar is input-only)."""
-    return _emit(f, _LEVEL_IMP)
+    return _emit(f, 0)

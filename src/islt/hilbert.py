@@ -63,25 +63,16 @@ class SubstitutionError(ValueError):
 def axiom_instance(a: AxiomId, subst: Mapping[str, Formula]) -> Formula:
     """Substitute formulas for the schema's metavariables. There are no
     binders, so substitution is plain replacement."""
-    needed = metavariables(a)
-    missing = [v for v in needed if v not in subst]
-    if missing:
-        raise SubstitutionError(f"{a.value} needs substitutes for {', '.join(missing)}")
-
     def apply(f: Formula) -> Formula:
         if isinstance(f, Var):
             return subst[f.name]
-        if isinstance(f, And):
-            return And(apply(f.left), apply(f.right))
-        if isinstance(f, Or):
-            return Or(apply(f.left), apply(f.right))
-        if isinstance(f, Imp):
-            return Imp(apply(f.left), apply(f.right))
-        if isinstance(f, Box):
-            return Box(apply(f.body))
-        return f
+        return type(f)(*map(apply, f._fields()))  # Bot() is the one falsum
 
-    return apply(_SCHEMAS[a])
+    try:
+        return apply(_SCHEMAS[a])
+    except KeyError:
+        missing = [v for v in metavariables(a) if v not in subst]
+        raise SubstitutionError(f"{a.value} needs substitutes for {', '.join(missing)}") from None
 
 
 class HilbertRule(str, Enum):

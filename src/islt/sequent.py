@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .formula import Box, Formula, ParseError, _Parser, _Record, print_formula, sort_key
+from .formula import Box, Formula, _Parser, _Record, print_formula, sort_key
 from .formula import variables as formula_variables
 
 
@@ -186,11 +186,7 @@ def parse_sequent(text: str) -> Sequent:
             p.next()
             ant.append(p.formula())
     p.expect("seq")
-    suc = p.formula()
-    kind, value, pos = p.next()
-    if kind != "eof":
-        raise ParseError(f"trailing input {value!r}", pos)
-    return sequent(ant, suc)
+    return sequent(ant, p.finish(p.formula()))
 
 
 def variables(s: Sequent) -> set[str]:

@@ -195,13 +195,22 @@ def test_countermodel_none(capsys):
     assert "no countermodel within" in out
 
 
-@pytest.mark.parametrize("worlds", ["9", "0", "-1"])
-def test_countermodel_bound_error(capsys, worlds):
-    # above the enumeration bound, or no world at all: an error, not a verdict
+@pytest.mark.parametrize(
+    "worlds, message",
+    [
+        ("9", "max_worlds 9 exceeds the enumeration bound 3"),
+        ("0", "max_worlds 0 is not positive"),
+        ("-1", "max_worlds -1 is not positive"),
+    ],
+    ids=["9", "0", "-1"],
+)
+def test_countermodel_bound_error(capsys, worlds, message):
+    # above the enumeration bound, or no world at all: an error, not a
+    # verdict, and a well-formed request, not malformed input
     code, out, err = run(capsys, "countermodel", "--max-worlds", worlds, "p")
     assert code == 2
     assert out == ""
-    assert "error" in err
+    assert err == f"error: {message}\n"
 
 
 def test_theta_output_exact(capsys):

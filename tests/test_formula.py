@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import pickle
 import random
 import weakref
@@ -22,7 +23,7 @@ from islt.formula import (
     variables,
     weight,
 )
-from islt.sequent import Multiset, Sequent
+from islt.sequent import Multiset, Sequent, parse_sequent
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -54,6 +55,36 @@ def test_print_minimal_parentheses():
     assert print_formula(Box(Imp(p, q))) == "[](p -> q)"
     assert print_formula(Box(p)) == "[]p"
     assert print_formula(And(p, And(q, r))) == "p /\\ (q /\\ r)"
+
+
+# the tokens, and two characters that are none
+_TOKENS = ("p", "q", "r1", "#", "->", "\\/", "/\\", "[]", "~", "(", ")", ",", "=>", "P", "$")
+SYNTAX_DIGEST = "ec8f31ae0d59a66310a064ebb5ccd5096b6880e321d7645126b68a050c7808f9"
+
+
+def _parsed(parse, text: str) -> str:
+    try:
+        return repr(parse(text))
+    except ParseError as e:
+        return f"ParseError: {e}"
+
+
+def test_golden_parse_and_print():
+    """Pins the concrete syntax: what parse_formula and parse_sequent make
+    of random token strings (the structure, or the exact error message and
+    position), and what print_formula writes for random formulas, each of
+    which must parse back to the same object."""
+    rng = random.Random(41)
+    h = hashlib.sha256()
+    for _ in range(10_000):
+        text = "".join(rng.choice(_TOKENS) + rng.choice(("", " ", "\t\n")) for _ in range(rng.randrange(12)))
+        h.update(f"{text}\n{_parsed(parse_formula, text)}\n{_parsed(parse_sequent, text)}\n".encode())
+    for _ in range(3_000):
+        f = formula(rng, rng.randrange(0, 7))
+        text = print_formula(f)
+        assert parse_formula(text) is f
+        h.update(f"{text}\n".encode())
+    assert h.hexdigest() == SYNTAX_DIGEST
 
 
 def test_parse_errors_carry_position():
