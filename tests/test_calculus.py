@@ -1,5 +1,8 @@
+import hashlib
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -145,6 +148,23 @@ def test_expand_is_deterministic_and_duplicate_free():
             seen.add(key)
             assert inst.conclusion == s
             assert inst.premises == premises_of(inst.rule, s, inst.principal)
+
+
+# sha256 of expand's (rule, principal) pairs over the prove-corpus goals
+# of the benchmark's default seed, recorded while expand sorted its output
+EXPAND_SHA256 = "128344c13de5b96d28d27f0075a796c3ccfe7c01674a7518776ccbb9f017fc62"
+
+
+def test_expand_output_is_pinned(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import corpus
+    import workloads
+
+    goals = [s for s, _ in corpus.regression_goals()] + workloads.random_goals(7, 12000)
+    h = hashlib.sha256()
+    for s in goals:
+        h.update(repr([(i.rule.value, str(i.principal)) for i in expand(s)]).encode())
+    assert h.hexdigest() == EXPAND_SHA256
 
 
 def test_check_accepts_prover_output():

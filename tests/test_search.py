@@ -5,8 +5,9 @@ from typing import Optional
 import pytest
 
 from genlib import random_sequent
+from islt import calculus, search
 from islt.calculus import Derivation, check, dumps, expand, uses_cut
-from islt.formula import parse_formula
+from islt.formula import Bot, parse_formula
 from islt.search import _PRIORITY, BudgetExceeded, Proved, Unprovable, decide, prove
 from islt.sequent import Multiset, Sequent, parse_sequent
 
@@ -155,6 +156,66 @@ def test_committed_search_matches_reference(corpus):
             assert check(got.proof) is None
             proved += 1
     assert 0 < proved < len(corpus)
+
+
+_FAILS = Sequent(Multiset(), Bot())  # no rule applies
+_CLOSES = Sequent(Multiset.of(Bot()), Bot())  # BotL
+
+# an antecedent of several AndL principals, AtomImpL with and without its
+# atom, # beside other formulas, several ImpImpL and BoxImpL principals with
+# no invertible rule, and AndR beside OrL
+ORDER_CASES = [
+    "p /\\ q, r /\\ s, q /\\ p, p -> q => r",
+    "p, p -> q, r -> s, q -> r => s",
+    "q -> p, s -> p => p -> q",
+    "#, p /\\ q, p -> r => s",
+    "#, r => r",
+    "r, p => p",
+    "(p -> q) -> r, []p -> q, (q -> r) -> s, []s -> p => q \\/ r",
+    "[]q -> p, (r -> p) -> q, []p -> r => []s",
+    "(q -> r) -> p, (p -> q) -> r => p",
+    "q -> p, []r => []q",
+    "p \\/ q, r \\/ s => p /\\ s",
+    "s \\/ r, p \\/ q => s",
+]
+
+
+def tried_at(s: Sequent, monkeypatch) -> list:
+    """The (rule, principal) pairs committed search tries at s when the
+    first premise of every instance fails and the others close: it moves
+    on until it meets an instance whose failure is final under the
+    inversion lemmas."""
+    real, tried = calculus.premises_of, []
+
+    def premises_of(rule, conclusion, principal):
+        premises = real(rule, conclusion, principal)
+        if conclusion != s:
+            return premises
+        tried.append((rule, principal))
+        if not premises:
+            return premises
+        return (_FAILS,) + (_CLOSES,) * (len(premises) - 1)
+
+    monkeypatch.setattr(calculus, "premises_of", premises_of)
+    monkeypatch.setattr(search, "premises_of", premises_of, raising=False)
+    prove(s)
+    monkeypatch.undo()
+    return tried
+
+
+def test_committed_order_is_priority_order(corpus, monkeypatch):
+    """Committed search tries the instances of a sequent in the order of
+    expand stably sorted by _PRIORITY, as the reference search does. It
+    stops at the first leaf or invertible instance (priority 2 at most)
+    and otherwise tries them all."""
+    for s in [parse_sequent(t) for t in ORDER_CASES] + corpus:
+        if s in (_FAILS, _CLOSES):
+            continue
+        want = [(i.rule, i.principal) for i in sorted(expand(s), key=lambda i: _PRIORITY[i.rule])]
+        tried = tried_at(s, monkeypatch)
+        if want and _PRIORITY[want[0][0]] <= 2:
+            want = want[:1]
+        assert tried == want, s
 
 
 # sha256 of the lines below over the corpus fixture, recorded before formulas
