@@ -1,7 +1,8 @@
 """Sequent calculus rules, backward expansion, and certificate checking.
 
 Rules are read backward: expand(s) lists every instance whose conclusion is
-s, one instance per (rule, principal value) pair. The split of an antecedent
+s, one instance per (rule, principal value) pair, from one scan of s
+(_principals) that committed search reads too. The split of an antecedent
 into non-boxed and boxed parts for BoxImpL and SLtR is always the maximal
 one, and check() rejects anything else.
 
@@ -24,6 +25,11 @@ from typing import Iterator, Optional
 from .formula import And, Bot, Box, Formula, Imp, Or, Var, _Record, parse_formula, print_formula, sort_key
 from .sequent import Multiset, Sequent, unbox_one_level
 
+# bench/tracer.py counts calls through this name, so it stays bound, though
+# nothing here calls it since expand stopped sorting; the assignment keeps
+# the import from reading as unused
+sort_key = sort_key
+
 
 class RuleId(str, Enum):
     BotL = "BotL"
@@ -42,6 +48,10 @@ class RuleId(str, Enum):
     SLtR = "SLtR"
     Cut = "Cut"
 
+
+# the members as module globals, which cost about a tenth of RuleId.X to read
+(_BotL, _IdP, _AndL, _AndR, _OrL, _OrR1, _OrR2, _AtomImpL, _ImpR, _AndImpL, _OrImpL, _ImpImpL, _BoxImpL, _SLtR,
+ _Cut) = RuleId
 
 # the left rule a principal selects by its connective or, for an implication,
 # by its antecedent's (Dyckhoff's G4ip); an implication out of # is inert
@@ -164,13 +174,13 @@ def replacements(rule: RuleId, p: Optional[Formula]) -> tuple[tuple[Formula, ...
     if rule not in INVERTIBLE_LEFT:
         raise SchemaError(f"{rule.value} does not replace its principal in place")
     a, b = _shaped(rule, p).left, p.right
-    if rule is RuleId.AndL:
+    if rule is _AndL:
         return ((a, b),)
-    if rule is RuleId.OrL:
+    if rule is _OrL:
         return ((a,), (b,))
-    if rule is RuleId.AtomImpL:
+    if rule is _AtomImpL:
         return ((b,),)
-    if rule is RuleId.AndImpL:
+    if rule is _AndImpL:
         return ((Imp(a.left, Imp(a.right, b)),),)
     return ((Imp(a.left, b), Imp(a.right, b)),)  # OrImpL
 
@@ -180,11 +190,11 @@ def premises_of(rule: RuleId, conclusion: Sequent, principal: Optional[Formula])
     if principal is not None and rule in _NO_PRINCIPAL:
         raise SchemaError(f"{rule.value} takes no principal formula")
     ant, suc = conclusion.ant, conclusion.suc
-    if rule is RuleId.BotL:
+    if rule is _BotL:
         if Bot() not in ant:
             raise SchemaError("BotL needs # in the antecedent")
         return ()
-    if rule is RuleId.IdP:
+    if rule is _IdP:
         if not isinstance(suc, Var) or suc not in ant:
             raise SchemaError("IdP needs an atomic succedent present in the antecedent")
         return ()
@@ -195,48 +205,63 @@ def premises_of(rule: RuleId, conclusion: Sequent, principal: Optional[Formula])
             raise SchemaError(f"principal {print_formula(principal)} not in the antecedent")
         if rule in INVERTIBLE_LEFT:
             parts = replacements(rule, principal)
-            if rule is RuleId.AtomImpL and principal.left not in ant:
+            if rule is _AtomImpL and principal.left not in ant:
                 raise SchemaError("AtomImpL needs the atom alongside the implication")
             rest = ant.remove(principal)
             return tuple(Sequent(reduce(Multiset.add, pieces, rest), suc) for pieces in parts)
         # ImpImpL or BoxImpL: the right premise puts b in the principal's place
         a, b = _shaped(rule, principal).left, principal.right
         rest = ant.remove(principal)
-        if rule is RuleId.ImpImpL:
+        if rule is _ImpImpL:
             left = Sequent(rest.add(Imp(a.right, b)), a)
         else:
             left = Sequent(unbox_one_level(rest).add(b).add(a), a.body)
         return (left, Sequent(rest.add(b), suc))
-    if rule is RuleId.Cut:
+    if rule is _Cut:
         raise SchemaError("no schema for rule Cut")
     _shaped(rule, suc)
-    if rule is RuleId.AndR:
+    if rule is _AndR:
         return (Sequent(ant, suc.left), Sequent(ant, suc.right))
-    if rule is RuleId.OrR1:
+    if rule is _OrR1:
         return (Sequent(ant, suc.left),)
-    if rule is RuleId.OrR2:
+    if rule is _OrR2:
         return (Sequent(ant, suc.right),)
-    if rule is RuleId.ImpR:
+    if rule is _ImpR:
         return (Sequent(ant.add(suc.left), suc.right),)
     return (Sequent(unbox_one_level(ant).add(suc), suc.body),)  # SLtR
 
 
-_RULE_RANK = {rule: i for i, rule in enumerate(RuleId)}
+def _principals(s: Sequent) -> dict[RuleId, list[Optional[Formula]]]:
+    """Each rule that applies backward at s, with the principals s offers
+    it in antecedent order, which is sort_key order (None for a rule that
+    takes none). One pass over the antecedent; the set of its distinct
+    formulas answers IdP and AtomImpL's atom."""
+    entries, suc = s.ant.entries, s.suc
+    present = {f for f, _ in entries}
+    out: dict[RuleId, list[Optional[Formula]]] = {}
+    if Bot() in present:
+        out[_BotL] = [None]
+    if type(suc) is Var and suc in present:
+        out[_IdP] = [None]
+    for f, _ in entries:
+        if type(f) is Imp:
+            rule = _IMP_LEFT_OF.get(type(f.left))
+            if rule is _AtomImpL and f.left not in present:
+                continue
+        else:
+            rule = _LEFT_OF.get(type(f))
+        if rule is not None:
+            out.setdefault(rule, []).append(f)
+    for rule in _RIGHT_OF.get(type(suc), ()):
+        out[rule] = [None]
+    return out
 
 
 def expand(s: Sequent) -> list[RuleInstance]:
-    """All backward rule instances at s, deterministically ordered."""
-    ant, suc = s.ant, s.suc
-    out = [RuleInstance(RuleId.BotL, s)] if Bot() in ant else []
-    if isinstance(suc, Var) and suc in ant:
-        out.append(RuleInstance(RuleId.IdP, s))
-    for f in ant.distinct():
-        rule = _left_rule(f)
-        if rule is not None and (rule is not RuleId.AtomImpL or f.left in ant):
-            out.append(RuleInstance(rule, s, f))
-    out.extend(RuleInstance(rule, s) for rule in _RIGHT_OF.get(type(suc), ()))
-    out.sort(key=lambda inst: (_RULE_RANK[inst.rule], sort_key(inst.principal) if inst.principal else ()))
-    return out
+    """All backward rule instances at s, in RuleId order, and the instances
+    of one rule in antecedent order."""
+    offers = _principals(s)
+    return [RuleInstance(rule, s, p) for rule in RuleId if rule in offers for p in offers[rule]]
 
 
 def node(rule: RuleId, conclusion: Sequent, principal: Optional[Formula], *children: Derivation) -> Derivation:
@@ -260,7 +285,7 @@ def check(d: Derivation, allow_cut: bool = False) -> Optional[Violation]:
     """None when every node re-matches its schema and every leaf closes;
     otherwise the first violation in walk order, with its path from the root."""
     for n, path in walk(d):
-        if n.rule is RuleId.Cut:
+        if n.rule is _Cut:
             if not allow_cut:
                 return Violation(path, "Cut node in a cut-free certificate")
             if n.principal is not None:

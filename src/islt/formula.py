@@ -83,10 +83,11 @@ class Formula(_Record):
         return print_formula(self)
 
 
-# Intern table: (class, name) for a variable and (class, id of each child)
-# otherwise -> weak reference to the node. A live node keeps its children
-# and so their ids, so an entry always names the right children; a node's
-# entry is dropped when the node dies.
+# Intern table: (class, name) for a variable and (class, *children)
+# otherwise -> weak reference to the node. An entry holds the children
+# themselves, which the node keeps alive anyway, rather than two more int
+# objects for their ids; it is dropped when the node dies, and with it its
+# hold on the children.
 _TABLE: dict[tuple, ref] = {}
 
 
@@ -145,7 +146,7 @@ class _Binary(Formula):
         cls._FLOORS = (cls._LEVEL + cls._GROUPS_RIGHT, cls._LEVEL + (not cls._GROUPS_RIGHT))
 
     def __new__(cls, left: Formula, right: Formula):
-        entry = (cls, id(left), id(right))
+        entry = (cls, left, right)
         r = _TABLE.get(entry)
         if r is not None:
             node = r()
@@ -179,7 +180,7 @@ class Box(Formula):
     __slots__ = __match_args__ = ("body",)
 
     def __new__(cls, body: Formula) -> Box:
-        entry = (cls, id(body))
+        entry = (cls, body)
         r = _TABLE.get(entry)
         if r is not None:
             node = r()

@@ -15,7 +15,7 @@ from enum import Enum
 from typing import Mapping, Optional
 
 from .calculus import Violation, _field, walk
-from .formula import And, Bot, Box, Formula, Imp, Or, Var, _Record, parse_formula, print_formula, variables
+from .formula import And, Bot, Box, Formula, Imp, Or, Var, _Record, parse_formula, print_formula, sort_key, variables
 
 
 class AxiomId(str, Enum):
@@ -104,6 +104,13 @@ class HilbertNode(_Record):
     def __str__(self) -> str:
         ctx = ", ".join(sorted(print_formula(f) for f in self.context))
         return f"{ctx} |- {print_formula(self.conclusion)}"
+
+    def __repr__(self) -> str:
+        # the context in sort_key order: a frozenset lists it in hash order,
+        # and formulas hash by address, which changes from run to run
+        ctx = ", ".join(map(repr, sorted(self.context, key=sort_key)))
+        rest = "".join(f", {name}={getattr(self, name)!r}" for name in self.__match_args__[1:])
+        return f"HilbertNode(context=frozenset({{{ctx}}}){rest})" if ctx else super().__repr__()
 
 
 # slot setters that bypass the immutability guard, for construction only

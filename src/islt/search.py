@@ -1,11 +1,15 @@
 """Backward proof search.
 
-Depth-first search over expand(); termination is structural, because every
-rule instance strictly reduces theta upwards, so any order of instances and
-premises decides the goal.
+Depth-first search over the rule instances at each sequent; termination is
+structural, because every rule instance strictly reduces theta upwards, so
+any order of instances and premises decides the goal.
 
 The default search memoizes canonical sequents and commits where the
-paper's inversion lemmas allow it. AndL, AndR, OrL, ImpR, AtomImpL, AndImpL
+paper's inversion lemmas allow it. It closes a sequent by BotL or IdP when
+it can, and otherwise reads the one scan of the sequent that expand is
+built from (calculus._principals) rule by rule in priority order, handing
+each (rule, principal) pair to premises_of: it stops at the first instance
+that commits, so it never builds the others or sorts them. AndL, AndR, OrL, ImpR, AtomImpL, AndImpL
 and OrImpL are invertible (structural.invert): each premise is derivable
 whenever the conclusion is, so when one of their premises fails the
 sequent is unprovable and no other instance is tried. ImpImpL and BoxImpL
@@ -18,7 +22,9 @@ are smaller than a full search would give.
 
 Naive mode turns memoization off, shuffles the rule order with a seed and
 never commits: it is the memo-free, any-strategy search whose termination
-the paper proves, and it must reach the same verdicts.
+the paper proves, and it must reach the same verdicts. It shuffles the
+list expand returns, whose order the recorded naive proofs depend on, so
+expand stays beside the scan committed search reads.
 """
 
 from __future__ import annotations
@@ -26,8 +32,8 @@ from __future__ import annotations
 import random
 from typing import Optional, Union
 
-from .calculus import INVERTIBLE, RIGHT_INVERTIBLE, Derivation, RuleId, expand
-from .formula import Formula, _Record
+from .calculus import INVERTIBLE, RIGHT_INVERTIBLE, Derivation, RuleId, _principals, expand, premises_of
+from .formula import Bot, Formula, Var, _Record
 from .measure import shortlex_less, theta
 from .sequent import Multiset, Sequent
 
@@ -89,6 +95,10 @@ _PRIORITY = {
 }
 
 
+# committed search's rule order: _PRIORITY, then RuleId order
+_ORDER = sorted((rule for rule in RuleId if rule in _PRIORITY), key=_PRIORITY.get)
+
+
 def _plan(rule: RuleId, n: int) -> tuple[tuple[int, ...], int]:
     """Committed search order of a rule's n premises, and how many of the
     leading ones are invertible: the failure of one of those is final."""
@@ -97,6 +107,12 @@ def _plan(rule: RuleId, n: int) -> tuple[tuple[int, ...], int]:
     if rule in RIGHT_INVERTIBLE:
         return (1, 0), 1
     return tuple(range(n)), 0
+
+
+# each rule's premise count, which is fixed: one unless listed here
+_PREMISES = {RuleId.BotL: 0, RuleId.IdP: 0, RuleId.AndR: 2, RuleId.OrL: 2, RuleId.ImpImpL: 2, RuleId.BoxImpL: 2}
+_PLAN = {rule: _plan(rule, _PREMISES.get(rule, 1)) for rule in _ORDER}
+_UNSEEN, _BOT, _BOTL, _IDP = object(), Bot(), RuleId.BotL, RuleId.IdP
 
 
 class _Budget(Exception):
@@ -119,20 +135,14 @@ def prove(
     # sequent in progress is never met again below itself.
     seen: dict[Sequent, Optional[Derivation]] = {}
 
-    def order(instances):
-        if rng is not None:
-            instances = list(instances)
-            rng.shuffle(instances)
-            return instances
-        return sorted(instances, key=lambda i: _PRIORITY[i.rule])
-
     def search(seq: Sequent, parent_theta) -> Optional[Derivation]:
-        if seq not in seen:
+        result = seen.get(seq, _UNSEEN)
+        if result is _UNSEEN:
             if budget is not None and len(seen) >= budget:
                 raise _Budget()
             seen[seq] = None
         elif not naive:
-            return seen[seq]
+            return result
         own_theta = None
         if debug:
             own_theta = theta(seq)
@@ -140,13 +150,21 @@ def prove(
             assert parent_theta is None or shortlex_less(own_theta, parent_theta), (
                 f"theta failed to decrease at {seq}"
             )
-        result: Optional[Derivation] = None
-        for inst in order(expand(seq)):
-            premises = inst.premises
-            if naive:
-                plan, final = range(len(premises)), 0
-            else:
-                plan, final = _plan(inst.rule, len(premises))
+        result = None
+        ant, suc = seq.ant, seq.suc
+        if naive:
+            pairs = [(inst.rule, inst.principal) for inst in expand(seq)]
+            rng.shuffle(pairs)
+        elif ant.entries and ant.entries[0][0] is _BOT:  # # sorts first
+            pairs = ((_BOTL, None),)
+        elif type(suc) is Var and suc in ant:
+            pairs = ((_IDP, None),)
+        else:
+            offers = _principals(seq)
+            pairs = [(rule, p) for rule in _ORDER if rule in offers for p in offers[rule]]
+        for rule, principal in pairs:
+            premises = premises_of(rule, seq, principal)
+            plan, final = (range(len(premises)), 0) if naive else _PLAN[rule]
             children: list[Optional[Derivation]] = [None] * len(premises)
             refuted = False
             for k, i in enumerate(plan):
@@ -156,7 +174,7 @@ def prove(
                     break
                 children[i] = sub
             else:
-                result = Derivation(seq, inst.rule, inst.principal, tuple(children))
+                result = Derivation(seq, rule, principal, tuple(children))
                 break
             if refuted:
                 break

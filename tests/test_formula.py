@@ -1,4 +1,5 @@
 import copy
+import gc
 import hashlib
 import pickle
 import random
@@ -17,6 +18,7 @@ from islt.formula import (
     Or,
     ParseError,
     Var,
+    _TABLE,
     parse_formula,
     print_formula,
     sort_key,
@@ -198,6 +200,16 @@ def test_the_intern_table_keeps_no_formula_alive():
     refs = [weakref.ref(g) for g in (f, f.left, f.right, f.left.left, f.right.body)]
     del f
     assert [r() for r in refs] == [None] * len(refs)
+    # the entries, which hold their node's children, go with the nodes,
+    # even down a chain too deep to free by recursion
+    gc.collect()  # so that no other formula dies in between
+    before = len(_TABLE)
+    f = Var("fresh_d")
+    for i in range(100_000):
+        f = Imp(q, f) if i % 2 else Box(f)
+    assert len(_TABLE) == before + 100_001
+    del f
+    assert len(_TABLE) == before
 
 
 def test_formulas_are_immutable():

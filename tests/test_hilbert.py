@@ -5,7 +5,7 @@ import random
 import pytest
 from genlib import formula
 
-from islt.formula import Box, Imp, Var, parse_formula
+from islt.formula import And, Box, Imp, Var, parse_formula
 from islt.hilbert import (
     AxiomId,
     HilbertNode,
@@ -220,6 +220,17 @@ def test_bridge_all_axioms():
         for _ in range(3):
             subst = {v: formula(rng, rng.randrange(3)) for v in metavariables(a)}
             assert bridge_check(a, subst), (a, subst)
+
+
+def test_repr_lists_the_context_in_sort_key_order():
+    formulas = [Box(q), p, Imp(p, q), And(q, p), r]
+    want = (
+        "HilbertNode(context=frozenset({Var('p'), Var('r'), And(Var('q'), Var('p')), Imp(Var('p'), Var('q')), "
+        "Box(Var('q'))}), conclusion=Var('r'), rule=<HilbertRule.El: 'El'>, axiom=None, subst=None, children=())"
+    )
+    for order in (formulas, formulas[::-1]):
+        assert repr(el(frozenset(order), r)) == want
+    assert repr(el(frozenset(), r)).startswith("HilbertNode(context=frozenset(), conclusion=Var('r'), ")
 
 
 def test_json_roundtrip():
