@@ -83,12 +83,12 @@ class Formula(_Record):
         return print_formula(self)
 
 
-# Intern table: (class, name) for a variable and (class, *children)
-# otherwise -> weak reference to the node. An entry holds the children
-# themselves, which the node keeps alive anyway, rather than two more int
-# objects for their ids; it is dropped when the node dies, and with it its
-# hold on the children.
-_TABLE: dict[tuple, ref] = {}
+# Intern table: a variable's name, a box's body or (class, left, right) for
+# a binary node -> weak reference to the node. Entries of different kinds
+# never compare equal. An entry is, or holds, objects the node keeps alive
+# anyway, so it costs no more than a tuple at most; it is dropped when the
+# node dies, and with it its hold on the children.
+_TABLE: dict[object, ref] = {}
 
 
 class _Ref(ref):
@@ -100,7 +100,7 @@ def _forget(r: _Ref) -> None:
         del _TABLE[r.entry]
 
 
-def _intern(entry: tuple, node: Formula, w: int, key: tuple) -> Formula:
+def _intern(entry: object, node: Formula, w: int, key: tuple) -> Formula:
     """Give a new node its weight and key and enter it in the table."""
     _set_weight(node, w)
     _set_key(node, key)
@@ -113,7 +113,7 @@ class Var(Formula):
     __slots__ = __match_args__ = ("name",)
 
     def __new__(cls, name: str) -> Var:
-        entry = (cls, name)
+        entry = name
         r = _TABLE.get(entry)
         if r is not None:
             node = r()
@@ -180,7 +180,7 @@ class Box(Formula):
     __slots__ = __match_args__ = ("body",)
 
     def __new__(cls, body: Formula) -> Box:
-        entry = (cls, body)
+        entry = body
         r = _TABLE.get(entry)
         if r is not None:
             node = r()

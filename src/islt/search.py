@@ -186,6 +186,10 @@ def prove(
         found = search(s, None)
     except _Budget:
         return BudgetExceeded(len(seen))
+    finally:
+        # search calls itself through its closure; emptying that cell breaks
+        # the cycle, so seen is freed on return, not by a later collection
+        del search
     if found is None:
         return Unprovable(len(seen))
     return Proved(found)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 from typing import Optional
@@ -133,6 +134,20 @@ def test_budget_abort():
     assert r.explored == 2
     # a budget that is never hit changes nothing
     assert isinstance(prove(hard, budget=10**6), Unprovable)
+
+
+def test_search_leaves_no_cyclic_garbage():
+    """Each call's memo is freed on return, not by a later collection."""
+    hard = parse_sequent("=> ((p -> q) -> p) -> p")
+    gc.disable()
+    try:
+        gc.collect()
+        for kwargs in ({}, {"budget": 2}, {"naive": True, "seed": 1}):
+            prove(hard, **kwargs)
+            prove(parse_sequent("p, q => p /\\ q"), **kwargs)
+            assert gc.collect() == 0, kwargs
+    finally:
+        gc.enable()
 
 
 def test_memoization_handles_repeats():
