@@ -25,10 +25,7 @@ from typing import Iterator, Optional
 from .formula import And, Bot, Box, Formula, Imp, Or, Var, _Record, parse_formula, print_formula, sort_key
 from .sequent import Multiset, Sequent, unbox_one_level
 
-# bench/tracer.py counts calls through this name, so it stays bound, though
-# nothing here calls it since expand stopped sorting; the assignment keeps
-# the import from reading as unused
-sort_key = sort_key
+sort_key = sort_key  # bench/tracer.py counts calls through this name; nothing here calls it
 
 
 class RuleId(str, Enum):
@@ -113,8 +110,7 @@ class RuleInstance(_Record):
 
     @property
     def premises(self) -> tuple[Sequent, ...]:
-        """Built on each access, so search pays only for instances it tries;
-        callers read it once."""
+        """premises_of this instance, built anew on each access."""
         return premises_of(self.rule, self.conclusion, self.principal)
 
 
@@ -233,24 +229,16 @@ def premises_of(rule: RuleId, conclusion: Sequent, principal: Optional[Formula])
 
 def _principals(s: Sequent) -> dict[RuleId, list[Optional[Formula]]]:
     """Each rule that applies backward at s, with the principals s offers
-    it in antecedent order, which is sort_key order (None for a rule that
-    takes none). One pass over the antecedent; the set of its distinct
-    formulas answers IdP and AtomImpL's atom."""
+    it in antecedent (sort_key) order, or [None] for a rule that takes
+    none: one pass, with a set of the antecedent's distinct formulas."""
     entries, suc = s.ant.entries, s.suc
     present = {f for f, _ in entries}
-    out: dict[RuleId, list[Optional[Formula]]] = {}
-    if Bot() in present:
-        out[_BotL] = [None]
+    out: dict[RuleId, list[Optional[Formula]]] = {_BotL: [None]} if Bot() in present else {}
     if type(suc) is Var and suc in present:
         out[_IdP] = [None]
     for f, _ in entries:
-        if type(f) is Imp:
-            rule = _IMP_LEFT_OF.get(type(f.left))
-            if rule is _AtomImpL and f.left not in present:
-                continue
-        else:
-            rule = _LEFT_OF.get(type(f))
-        if rule is not None:
+        rule = _left_rule(f)
+        if rule is not None and (rule is not _AtomImpL or f.left in present):
             out.setdefault(rule, []).append(f)
     for rule in _RIGHT_OF.get(type(suc), ()):
         out[rule] = [None]

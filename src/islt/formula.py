@@ -84,10 +84,9 @@ class Formula(_Record):
 
 
 # Intern table: a variable's name, a box's body or (class, left, right) for
-# a binary node -> weak reference to the node. Entries of different kinds
-# never compare equal. An entry is, or holds, objects the node keeps alive
-# anyway, so it costs no more than a tuple at most; it is dropped when the
-# node dies, and with it its hold on the children.
+# a binary node -> weak reference to the node; entries of different kinds
+# never compare equal. An entry holds only what the node keeps alive anyway,
+# and is dropped when the node dies, with its hold on the children.
 _TABLE: dict[object, ref] = {}
 
 

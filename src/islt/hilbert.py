@@ -106,11 +106,9 @@ class HilbertNode(_Record):
         return f"{ctx} |- {print_formula(self.conclusion)}"
 
     def __repr__(self) -> str:
-        # the context in sort_key order: a frozenset lists it in hash order,
-        # and formulas hash by address, which changes from run to run
+        # the context in sort_key order: hash order follows addresses, which vary
         ctx = ", ".join(map(repr, sorted(self.context, key=sort_key)))
-        rest = "".join(f", {name}={getattr(self, name)!r}" for name in self.__match_args__[1:])
-        return f"HilbertNode(context=frozenset({{{ctx}}}){rest})" if ctx else super().__repr__()
+        return super().__repr__().replace(repr(self.context), f"frozenset({{{ctx}}})" if ctx else "frozenset()", 1)
 
 
 # slot setters that bypass the immutability guard, for construction only

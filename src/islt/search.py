@@ -5,11 +5,7 @@ structural, because every rule instance strictly reduces theta upwards, so
 any order of instances and premises decides the goal.
 
 The default search memoizes canonical sequents and commits where the
-paper's inversion lemmas allow it. It closes a sequent by BotL or IdP when
-it can, and otherwise reads the one scan of the sequent that expand is
-built from (calculus._principals) rule by rule in priority order, handing
-each (rule, principal) pair to premises_of: it stops at the first instance
-that commits, so it never builds the others or sorts them. AndL, AndR, OrL, ImpR, AtomImpL, AndImpL
+paper's inversion lemmas allow it. AndL, AndR, OrL, ImpR, AtomImpL, AndImpL
 and OrImpL are invertible (structural.invert): each premise is derivable
 whenever the conclusion is, so when one of their premises fails the
 sequent is unprovable and no other instance is tried. ImpImpL and BoxImpL
@@ -20,11 +16,13 @@ that cannot succeed, so every verdict and every proof is the one the full
 search finds, but Unprovable.explored and the count a budget abort reports
 are smaller than a full search would give.
 
-Naive mode turns memoization off, shuffles the rule order with a seed and
-never commits: it is the memo-free, any-strategy search whose termination
-the paper proves, and it must reach the same verdicts. It shuffles the
-list expand returns, whose order the recorded naive proofs depend on, so
-expand stays beside the scan committed search reads.
+It closes a sequent by BotL or IdP, or else reads one scan of it
+(calculus._principals) rule by rule in priority order and hands each
+(rule, principal) pair to premises_of, building no other instance. Naive
+mode turns memoization off, shuffles expand's list with a seed and never
+commits: it is the memo-free, any-strategy search whose termination the
+paper proves, and it must reach the same verdicts. Its recorded proofs
+depend on that list's order, and expand is public, so expand stays.
 """
 
 from __future__ import annotations
@@ -95,23 +93,12 @@ _PRIORITY = {
 }
 
 
-# committed search's rule order: _PRIORITY, then RuleId order
-_ORDER = sorted((rule for rule in RuleId if rule in _PRIORITY), key=_PRIORITY.get)
-
-
-def _plan(rule: RuleId, n: int) -> tuple[tuple[int, ...], int]:
-    """Committed search order of a rule's n premises, and how many of the
-    leading ones are invertible: the failure of one of those is final."""
-    if rule in INVERTIBLE:
-        return tuple(range(n)), n
-    if rule in RIGHT_INVERTIBLE:
-        return (1, 0), 1
-    return tuple(range(n)), 0
-
-
-# each rule's premise count, which is fixed: one unless listed here
-_PREMISES = {RuleId.BotL: 0, RuleId.IdP: 0, RuleId.AndR: 2, RuleId.OrL: 2, RuleId.ImpImpL: 2, RuleId.BoxImpL: 2}
-_PLAN = {rule: _plan(rule, _PREMISES.get(rule, 1)) for rule in _ORDER}
+_ORDER = sorted((rule for rule in RuleId if rule in _PRIORITY), key=_PRIORITY.get)  # then by RuleId
+# committed search's order of each rule's premises (one unless set below),
+# and how many leading ones are invertible, so that their failure is final
+_PLAN = {rule: ((0,), int(rule in INVERTIBLE)) for rule in _ORDER}
+_PLAN.update({RuleId.BotL: ((), 0), RuleId.IdP: ((), 0), RuleId.AndR: ((0, 1), 2), RuleId.OrL: ((0, 1), 2)})
+_PLAN.update(dict.fromkeys(RIGHT_INVERTIBLE, ((1, 0), 1)))
 _UNSEEN, _BOT, _BOTL, _IDP = object(), Bot(), RuleId.BotL, RuleId.IdP
 
 
@@ -151,13 +138,12 @@ def prove(
                 f"theta failed to decrease at {seq}"
             )
         result = None
-        ant, suc = seq.ant, seq.suc
         if naive:
             pairs = [(inst.rule, inst.principal) for inst in expand(seq)]
             rng.shuffle(pairs)
-        elif ant.entries and ant.entries[0][0] is _BOT:  # # sorts first
+        elif seq.ant.entries and seq.ant.entries[0][0] is _BOT:  # # sorts first
             pairs = ((_BOTL, None),)
-        elif type(suc) is Var and suc in ant:
+        elif type(seq.suc) is Var and seq.suc in seq.ant:
             pairs = ((_IDP, None),)
         else:
             offers = _principals(seq)
@@ -187,9 +173,8 @@ def prove(
     except _Budget:
         return BudgetExceeded(len(seen))
     finally:
-        # search calls itself through its closure; emptying that cell breaks
-        # the cycle, so seen is freed on return, not by a later collection
-        del search
+        del search  # it refers to itself: break the cycle, so seen is freed now
+
     if found is None:
         return Unprovable(len(seen))
     return Proved(found)
