@@ -93,7 +93,7 @@ _PRIORITY = {
 }
 
 
-_ORDER = sorted((rule for rule in RuleId if rule in _PRIORITY), key=_PRIORITY.get)  # then by RuleId
+_ORDER = sorted((rule for rule in RuleId if rule in _PRIORITY), key=_PRIORITY.get)  # stable: ties in RuleId order
 # committed search's order of each rule's premises (one unless set below),
 # and how many leading ones are invertible, so that their failure is final
 _PLAN = {rule: ((0,), int(rule in INVERTIBLE)) for rule in _ORDER}
@@ -174,7 +174,6 @@ def prove(
         return BudgetExceeded(len(seen))
     finally:
         del search  # it refers to itself: break the cycle, so seen is freed now
-
     if found is None:
         return Unprovable(len(seen))
     return Proved(found)
