@@ -6,12 +6,17 @@ formula, ordering measure of the conclusion), lexicographically: every
 recursive cut either has a strictly lighter cut formula or the same
 formula with a strictly smaller conclusion measure. With debug enabled
 that descent is asserted at every step and exposed through the log.
+
+The construction recurses on proof height within the caller's recursion
+limit and never changes that limit. When a proof is too tall for it,
+``cut_admissible`` and ``eliminate`` raise ``CutError``; a caller who
+needs taller proofs raises the interpreter's limit itself before the call.
 """
 
 from __future__ import annotations
 
-import sys
-from contextlib import contextmanager
+from functools import partial
+from itertools import repeat
 from typing import Optional
 
 from .calculus import (
@@ -40,7 +45,10 @@ from .structural import (
 
 
 class CutError(ValueError):
-    """A malformed cut instance."""
+    """A malformed cut instance, or a proof too tall for the recursion limit."""
+
+
+_TOO_TALL = "proof too tall for the recursion limit; raise the limit to cut it"
 
 
 Measure = tuple[int, Theta]
@@ -97,24 +105,13 @@ class CutInstance(_Record):
 _set_left, _set_right = CutInstance.left.__set__, CutInstance.right.__set__
 
 
-@contextmanager
-def _recursion_limit(depth: int):
-    """Raise the interpreter's recursion limit to at least depth for the
-    block, since the construction recurses on proof height, and give the
-    caller's limit back afterwards."""
-    before = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(before, depth))
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(before)
-
-
 def cut_admissible(instance: CutInstance, debug: bool = False, log: Optional[list] = None) -> Derivation:
     """A cut-free proof of the instance's conclusion."""
     instance.validate()
-    with _recursion_limit(100000):
-        return _cut(instance.left, instance.right, None, debug, log)
+    try:
+        return _cut(None, debug, log, instance.left, instance.right)
+    except RecursionError:
+        raise CutError(_TOO_TALL) from None
 
 
 def _enter(d1: Derivation, d2: Derivation, parent: Optional[Measure], debug: bool, log) -> Optional[Measure]:
@@ -134,16 +131,15 @@ def _enter(d1: Derivation, d2: Derivation, parent: Optional[Measure], debug: boo
 
 
 def _cut(
-    d1: Derivation,
-    d2: Derivation,
     parent: Optional[Measure],
     debug: bool,
     log,
+    d1: Derivation,
+    d2: Derivation,
 ) -> Derivation:
-    own = _enter(d1, d2, parent, debug, log)
-
-    def go(a: Derivation, b: Derivation) -> Derivation:
-        return _cut(a, b, own, debug, log)
+    # go(a, b) makes a recursive cut. A partial, not a closure, and map, not
+    # a generator, so that each level of recursion costs one Python frame.
+    go = partial(_cut, _enter(d1, d2, parent, debug, log), debug, log)
 
     ctx = d1.root.ant
     phi = d1.root.suc
@@ -162,7 +158,7 @@ def _cut(
             lir = imp_imp_lir if r1 is RuleId.ImpImpL else box_imp_lir
             return node(r1, conclusion, pi, d1.children[0], go(d1.children[1], lir(d2, pi)))
         mirrored = invert(r1, d2, pi)
-        return node(r1, conclusion, pi, *(go(c, m) for c, m in zip(d1.children, mirrored)))
+        return node(r1, conclusion, pi, *map(go, d1.children, mirrored))
 
     # principal on the left: the cut formula was just introduced
     if r1 is RuleId.AndR:
@@ -174,130 +170,27 @@ def _cut(
         branches = invert(RuleId.OrL, d2, phi)
         side = branches[0] if r1 is RuleId.OrR1 else branches[1]
         return go(d1.children[0], side)
-    if r1 is RuleId.ImpR:
+    r2 = d2.rule
+    if r1 is RuleId.ImpR and r2 in LEFT_RULES and d2.principal == phi:
         return _cut_imp_r(d1, d2, go)
-    if r1 is RuleId.SLtR:
+    if r1 is RuleId.SLtR and r2 in (RuleId.BoxImpL, RuleId.SLtR):
         return _cut_sltr(d1, d2, go)
-    raise CutError(f"unexpected left rule {r1.value}")
+    if r1 not in (RuleId.ImpR, RuleId.SLtR):
+        raise CutError(f"unexpected left rule {r1.value}")
 
-
-def _cut_imp_r(d1: Derivation, d2: Derivation, go) -> Derivation:
-    """Left premise ends in ImpR; the cut formula is an implication."""
-    ctx = d1.root.ant
-    phi = d1.root.suc
-    p0, p1 = phi.left, phi.right
-    d1p = d1.children[0]
-    r2 = d2.rule
-
-    if r2 in LEFT_RULES and d2.principal == phi:
-        # principal on both sides: reduce through phi's antecedent rule,
-        # chosen by the shape of p0
-        if r2 is RuleId.AtomImpL:
-            stripped = contract(d1p, p0)
-            return go(stripped, d2.children[0])
-        if r2 is RuleId.AndImpL:
-            a, b = p0.left, p0.right
-            opened = invert(RuleId.AndL, d1p, p0)[0]
-            s1 = node(RuleId.ImpR, Sequent(ctx.add(a), Imp(b, p1)), None, opened)
-            s2 = node(RuleId.ImpR, Sequent(ctx, Imp(a, Imp(b, p1))), None, s1)
-            return go(s2, d2.children[0])
-        if r2 is RuleId.OrImpL:
-            a, b = p0.left, p0.right
-            ia, ib = invert(RuleId.OrL, d1p, p0)
-            sa = node(RuleId.ImpR, Sequent(ctx, Imp(a, p1)), None, ia)
-            sb = node(RuleId.ImpR, Sequent(ctx, Imp(b, p1)), None, ib)
-            first = go(weaken(sa, Imp(b, p1)), d2.children[0])
-            return go(sb, first)
-        if r2 is RuleId.ImpImpL:
-            a, b = p0.left, p0.right
-            c = p1
-            bc = Imp(b, c)
-            left2, right2 = d2.children
-            cut_ab = go(left2, weaken(d1p, bc))
-            inner = node(
-                RuleId.ImpR,
-                Sequent(ctx.add(b), p0),
-                None,
-                id_general(b, ctx.add(a)),
-            )
-            cut_b = go(inner, weaken(d1p, b))
-            curried = node(RuleId.ImpR, Sequent(ctx, bc), None, cut_b)
-            cut_c = go(curried, cut_ab)
-            return go(cut_c, right2)
-        if r2 is RuleId.BoxImpL:
-            # phi = []x -> y; rebuild []x under the strong rule, then cut twice
-            left2, right2 = d2.children
-            s1 = unbox_left(d1p, boxed_occurrences(ctx))
-            s2 = go(s1, left2)
-            s3 = node(RuleId.SLtR, Sequent(ctx, p0), None, s2)
-            s4 = go(s3, d1p)
-            return go(s4, right2)
-        raise CutError(f"implication cut formula principal under {r2.value}")
-
-    return _commute_right_rule(d1, d2, go)
-
-
-def _cut_sltr(d1: Derivation, d2: Derivation, go) -> Derivation:
-    """Left premise ends in SLtR; the cut formula is boxed."""
-    ctx = d1.root.ant
-    phi = d1.root.suc
-    goal = d2.root.suc
-    conclusion = Sequent(ctx, goal)
-    loop = d1.children[0]
-    r2 = d2.rule
-
-    if r2 is RuleId.BoxImpL:
-        pi = d2.principal
-        left2, right2 = d2.children
-        rest = ctx.remove(pi)
-        rest_boxed = boxed_occurrences(rest)
-        # left branch: derive the unboxed premise by two nested cuts
-        x2 = unbox_left(d1, rest_boxed)
-        x3 = weaken(x2, pi.left)
-        x4 = box_imp_lir(x3, pi)
-        x6 = weaken(loop, pi.left)
-        x7 = box_imp_lir(x6, pi)
-        x8 = weaken(left2, phi)
-        pi1 = go(x7, x8)
-        pi0 = go(x4, pi1)
-        # right branch
-        x9 = box_imp_lir(d1, pi)
-        xb = go(x9, right2)
-        return node(RuleId.BoxImpL, conclusion, pi, pi0, xb)
-
-    if r2 is RuleId.SLtR:
-        p2 = d2.children[0]
-        stripped = unbox_left(d1, boxed_occurrences(ctx))
-        a = weaken(stripped, goal)
-        b = weaken(loop, goal)
-        c = weaken(p2, phi)
-        d = go(b, c)
-        e = go(a, d)
-        return node(RuleId.SLtR, conclusion, None, e)
-
-    return _commute_right_rule(d1, d2, go)
-
-
-def _commute_right_rule(d1: Derivation, d2: Derivation, go) -> Derivation:
-    """The right premise's last rule does not touch the cut formula:
-    push the cut into its premises and replay the rule."""
-    ctx = d1.root.ant
-    phi = d1.root.suc
-    goal = d2.root.suc
-    conclusion = Sequent(ctx, goal)
-    r2 = d2.rule
-
+    # the right premise's last rule does not touch the cut formula: push the
+    # cut into its premises and replay the rule (here, not in a helper, so
+    # that this descent too costs one frame a level)
     if r2 in (RuleId.IdP, RuleId.BotL, RuleId.AndR, RuleId.OrR1, RuleId.OrR2):
         # the premises keep the antecedent, so the cut moves into each one
-        return node(r2, conclusion, None, *(go(d1, c) for c in d2.children))
+        return node(r2, conclusion, None, *map(go, repeat(d1), d2.children))
     if r2 is RuleId.ImpR:
         sub = go(weaken(d1, goal.left), d2.children[0])
         return node(RuleId.ImpR, conclusion, None, sub)
     if r2 in INVERTIBLE_LEFT:
         pi = d2.principal
         mirrored = invert(r2, d1, pi)
-        subs = [go(m, c) for m, c in zip(mirrored, d2.children)]
-        return node(r2, conclusion, pi, *subs)
+        return node(r2, conclusion, pi, *map(go, mirrored, d2.children))
     if r2 is RuleId.ImpImpL:
         pi = d2.principal
         y, z = pi.left.right, pi.right
@@ -338,22 +231,118 @@ def _commute_right_rule(d1: Derivation, d2: Derivation, go) -> Derivation:
     raise CutError(f"unexpected right rule {r2.value}")
 
 
+def _cut_imp_r(d1: Derivation, d2: Derivation, go) -> Derivation:
+    """Left premise ends in ImpR, right premise in a left rule on the cut
+    formula, an implication: principal on both sides."""
+    ctx = d1.root.ant
+    phi = d1.root.suc
+    p0, p1 = phi.left, phi.right
+    d1p = d1.children[0]
+    r2 = d2.rule
+
+    # reduce through phi's antecedent rule, chosen by the shape of p0
+    if r2 is RuleId.AtomImpL:
+        stripped = contract(d1p, p0)
+        return go(stripped, d2.children[0])
+    if r2 is RuleId.AndImpL:
+        a, b = p0.left, p0.right
+        opened = invert(RuleId.AndL, d1p, p0)[0]
+        s1 = node(RuleId.ImpR, Sequent(ctx.add(a), Imp(b, p1)), None, opened)
+        s2 = node(RuleId.ImpR, Sequent(ctx, Imp(a, Imp(b, p1))), None, s1)
+        return go(s2, d2.children[0])
+    if r2 is RuleId.OrImpL:
+        a, b = p0.left, p0.right
+        ia, ib = invert(RuleId.OrL, d1p, p0)
+        sa = node(RuleId.ImpR, Sequent(ctx, Imp(a, p1)), None, ia)
+        sb = node(RuleId.ImpR, Sequent(ctx, Imp(b, p1)), None, ib)
+        first = go(weaken(sa, Imp(b, p1)), d2.children[0])
+        return go(sb, first)
+    if r2 is RuleId.ImpImpL:
+        a, b = p0.left, p0.right
+        c = p1
+        bc = Imp(b, c)
+        left2, right2 = d2.children
+        cut_ab = go(left2, weaken(d1p, bc))
+        inner = node(
+            RuleId.ImpR,
+            Sequent(ctx.add(b), p0),
+            None,
+            id_general(b, ctx.add(a)),
+        )
+        cut_b = go(inner, weaken(d1p, b))
+        curried = node(RuleId.ImpR, Sequent(ctx, bc), None, cut_b)
+        cut_c = go(curried, cut_ab)
+        return go(cut_c, right2)
+    if r2 is RuleId.BoxImpL:
+        # phi = []x -> y; rebuild []x under the strong rule, then cut twice
+        left2, right2 = d2.children
+        s1 = unbox_left(d1p, boxed_occurrences(ctx))
+        s2 = go(s1, left2)
+        s3 = node(RuleId.SLtR, Sequent(ctx, p0), None, s2)
+        s4 = go(s3, d1p)
+        return go(s4, right2)
+    raise CutError(f"implication cut formula principal under {r2.value}")
+
+
+def _cut_sltr(d1: Derivation, d2: Derivation, go) -> Derivation:
+    """Left premise ends in SLtR, right premise in BoxImpL or SLtR; the cut
+    formula is boxed."""
+    ctx = d1.root.ant
+    phi = d1.root.suc
+    goal = d2.root.suc
+    conclusion = Sequent(ctx, goal)
+    loop = d1.children[0]
+    r2 = d2.rule
+
+    if r2 is RuleId.BoxImpL:
+        pi = d2.principal
+        left2, right2 = d2.children
+        rest = ctx.remove(pi)
+        rest_boxed = boxed_occurrences(rest)
+        # left branch: derive the unboxed premise by two nested cuts
+        x2 = unbox_left(d1, rest_boxed)
+        x3 = weaken(x2, pi.left)
+        x4 = box_imp_lir(x3, pi)
+        x6 = weaken(loop, pi.left)
+        x7 = box_imp_lir(x6, pi)
+        x8 = weaken(left2, phi)
+        pi1 = go(x7, x8)
+        pi0 = go(x4, pi1)
+        # right branch
+        x9 = box_imp_lir(d1, pi)
+        xb = go(x9, right2)
+        return node(RuleId.BoxImpL, conclusion, pi, pi0, xb)
+
+    # SLtR on both sides
+    p2 = d2.children[0]
+    stripped = unbox_left(d1, boxed_occurrences(ctx))
+    a = weaken(stripped, goal)
+    b = weaken(loop, goal)
+    c = weaken(p2, phi)
+    d = go(b, c)
+    e = go(a, d)
+    return node(RuleId.SLtR, conclusion, None, e)
+
+
 def eliminate(d: Derivation, debug: bool = False, log: Optional[list] = None) -> Derivation:
     """Rewrite every Cut node bottom-up through cut_admissible; the result
     is cut-free with the same root sequent."""
     bad = check(d, allow_cut=True)
     if bad is not None:
         raise CutError(f"input fails checking: {bad}")
-    with _recursion_limit(100000):
-        out = _eliminate(d, debug, log)
+
+    def rewrite(n: Derivation) -> Derivation:
+        if not n.children:
+            return n
+        children = tuple(map(rewrite, n.children))
+        if n.rule is RuleId.Cut:
+            return _cut(None, debug, log, *children)
+        return node(n.rule, n.root, n.principal, *children)
+
+    try:
+        out = rewrite(d)
+    except RecursionError:
+        raise CutError(_TOO_TALL) from None
     assert out.root == d.root
     return out
 
-
-def _eliminate(d: Derivation, debug: bool, log) -> Derivation:
-    children = [_eliminate(c, debug, log) for c in d.children]
-    if d.rule is RuleId.Cut:
-        return _cut(children[0], children[1], None, debug, log)
-    if not d.children:
-        return d
-    return node(d.rule, d.root, d.principal, *children)

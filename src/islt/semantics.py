@@ -15,9 +15,9 @@ once on one frame under many valuations together: the extension of a
 formula is one integer per world, whose bit c says whether that world
 forces the formula under valuation c. The models that one
 ``enumerate_models`` call builds on one frame share that frame's batches,
-and each model records its batch and its valuation number, so ``forces``,
-``valid`` and ``evaluator`` only read bits, and ``find_countermodel`` scans
-whole batches and builds a model only for the first hit. A batch ranges
+and each model records its batch and its valuation number, so ``forces``
+and ``valid`` only read bits, and ``find_countermodel`` scans whole
+batches and builds a model only for the first hit. A batch ranges
 over every valuation of the trailing variables, as many of them as keep it
 within ``_MAX_WIDTH`` valuations; the leading variables are fixed per
 batch and looped over outside, in enumeration order. A model built by
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 from itertools import islice, product
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .formula import And, Bot, Box, Formula, Imp, Or, Var, _Record
 from .sequent import Sequent
@@ -270,29 +270,6 @@ def _batch_of(m: KripkeModel) -> tuple[_Batch, int]:
         batch = fields["_batch"] = _Batch(_Frame(n, m.leq, m.r), env, 1)
         fields["_column"] = 0
     return batch, fields["_column"]
-
-
-def evaluator(m: KripkeModel) -> Callable[[Formula], int]:
-    """Forcing extensions as world bitmasks: bit w of ext(f) says whether
-    world w forces f. Each subformula is evaluated once per batch, for
-    every model sharing m's batch; this only extracts m's bits, once per
-    formula."""
-    batch, c = _batch_of(m)
-    column = 1 << c
-    cache: dict[Formula, int] = {}
-
-    def ext(f: Formula) -> int:
-        got = cache.get(f)
-        if got is None:
-            got, world = 0, 1
-            for x in batch.ext(f):
-                if x & column:
-                    got |= world
-                world <<= 1
-            cache[f] = got
-        return got
-
-    return ext
 
 
 def forces(m: KripkeModel, w: int, f: Formula) -> bool:

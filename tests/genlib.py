@@ -7,6 +7,7 @@ explicit seed so failures reproduce exactly.
 import random
 from typing import Optional
 
+from islt import semantics
 from islt.calculus import Derivation, RuleId, node
 from islt.formula import And, Bot, Box, Formula, Imp, Or, Var, weight
 from islt.search import Proved, prove
@@ -14,6 +15,20 @@ from islt.sequent import Sequent, sequent
 from islt.structural import id_general
 
 DEFAULT_VARS = ("p", "q", "r", "s")
+
+
+def world_masks(m: semantics.KripkeModel, formulas) -> dict[Formula, int]:
+    """Per distinct formula f, the worlds of m that force f as a bitmask
+    (bit w for world w), read off m's batch."""
+    batch, c = semantics._batch_of(m)
+    masks = {}
+    for f in formulas:
+        if f not in masks:
+            got = 0
+            for w, x in enumerate(batch.ext(f)):
+                got |= (x >> c & 1) << w
+            masks[f] = got
+    return masks
 
 
 def formula(rng: random.Random, depth: int, variables=DEFAULT_VARS) -> Formula:

@@ -6,11 +6,12 @@ import sys
 import pytest
 from genlib import formula, inject_cut, random_sequent
 
-from islt.calculus import Derivation, RuleId, check, node, uses_cut
+from islt.calculus import Derivation, RuleId, check, height, node, uses_cut
 from islt.cut import CutError, CutInstance, cut_admissible, eliminate
+from islt.formula import Imp, Var
 from islt.measure import shortlex_less
 from islt.search import Proved, prove
-from islt.sequent import Sequent, parse_sequent
+from islt.sequent import Sequent, parse_sequent, sequent
 from islt.structural import id_general
 
 
@@ -139,15 +140,62 @@ def test_eliminate_rejects_invalid_input():
         eliminate(broken)
 
 
+class LimitLog(list):
+    """A cut log that records the recursion limit at every logged cut."""
+
+    def __init__(self):
+        super().__init__()
+        self.limits = set()
+
+    def append(self, entry):
+        self.limits.add(sys.getrecursionlimit())
+        super().append(entry)
+
+
 def test_cut_restores_the_callers_recursion_limit():
     base = proved("p => p \\/ q")
     right = id_general(base.root.suc, base.root.ant)
     before = sys.getrecursionlimit()
     sys.setrecursionlimit(4321)
     try:
-        eliminate(node(RuleId.Cut, base.root, None, base, right))
+        log = LimitLog()
+        eliminate(node(RuleId.Cut, base.root, None, base, right), log=log)
+        assert log.limits == {4321}
         assert sys.getrecursionlimit() == 4321
-        cut_admissible(CutInstance(base, right))
+        log = LimitLog()
+        cut_admissible(CutInstance(base, right), log=log)
+        assert log.limits == {4321}
         assert sys.getrecursionlimit() == 4321
     finally:
         sys.setrecursionlimit(before)
+
+
+def chain_cut(n):
+    """The cut of p, p -> q1, ..., q(n-1) -> qn => qn, proved n + 1 high,
+    against the identity on qn: as an instance and as a Cut node."""
+    atoms = [Var("p"), *(Var(f"q{i}") for i in range(1, n + 1))]
+    r = prove(sequent([atoms[0], *map(Imp, atoms, atoms[1:])], atoms[-1]))
+    assert isinstance(r, Proved) and height(r.proof) == n + 1
+    instance = CutInstance(r.proof, id_general(atoms[-1], r.proof.root.ant))
+    return instance, node(RuleId.Cut, instance.conclusion, None, instance.left, instance.right)
+
+
+def test_a_proof_too_tall_for_the_limit_is_a_cut_error():
+    instance, cut = chain_cut(599)
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(500)
+    try:
+        with pytest.raises(CutError, match="too tall"):
+            cut_admissible(instance)
+        with pytest.raises(CutError, match="too tall"):
+            eliminate(cut)
+        assert sys.getrecursionlimit() == 500
+    finally:
+        sys.setrecursionlimit(before)
+
+
+def test_a_proof_within_the_default_limit_is_cut():
+    # each level of the chain costs the cut one frame
+    instance, cut = chain_cut(599)
+    for out in (cut_admissible(instance), eliminate(cut)):
+        assert check(out) is None and out.root == instance.conclusion

@@ -8,7 +8,7 @@ import random
 from itertools import combinations
 
 import pytest
-from genlib import formula, proved_proofs, random_sequent
+from genlib import formula, proved_proofs, random_sequent, world_masks
 
 from islt import semantics
 from islt.formula import And, Bot, Box, Imp, Or, Var, parse_formula
@@ -16,7 +16,6 @@ from islt.semantics import (
     ENUMERATION_BOUND,
     KripkeModel,
     enumerate_models,
-    evaluator,
     find_countermodel,
     forces,
     model_from_json,
@@ -39,7 +38,7 @@ def chain2(p_at=(1,), r_pairs=((0, 1),)):
 
 
 def forces_slow(m, w, f):
-    """Forcing straight from the clauses, no sharing; oracle for evaluator."""
+    """Forcing straight from the clauses, no sharing; oracle for the batches."""
     if isinstance(f, Var):
         return w in m.valuation.get(f.name, frozenset())
     if isinstance(f, Bot):
@@ -154,26 +153,24 @@ def _variants(m):
     yield KripkeModel(m.worlds, m.leq, m.r, {**m.valuation, "s": frozenset(range(m.worlds))})
 
 
-def test_evaluator_matches_slow_forcing():
+def test_forces_and_valid_match_slow_forcing():
     rng = random.Random(7)
     models = [m for m in enumerate_models(2, ["p", "q"]) if rng.randrange(4) == 0]
     models += [m for m in enumerate_models(3, ["p", "q", "r"]) if rng.randrange(300) == 0]
     assert len(models) > 50 and {m.worlds for m in models} == {1, 2, 3}
     for m in models:
         for k in (m, *_variants(m)):
-            ext = evaluator(k)
             for _ in range(8):
                 f = formula(rng, rng.randrange(4), ("p", "q", "r", "s"))
-                got = ext(f)
                 for w in range(k.worlds):
-                    assert bool(got >> w & 1) == forces(k, w, f) == forces_slow(k, w, f), (k, f, w)
+                    assert forces(k, w, f) == forces_slow(k, w, f), (k, f, w)
                 s = random_sequent(rng, 2, max_ant=2, variables=("p", "q", "r", "s"))
                 assert valid(k, s) == valid_slow(k, s), (k, s)
 
 
 def test_enumerated_and_hand_built_models_are_one_value():
     for m in enumerate_models(2, ["p", "q"]):
-        evaluator(m)(Var("p"))
+        world_masks(m, [Var("p")])
         hand = KripkeModel(m.worlds, m.leq, m.r, dict(m.valuation))
         forces(hand, 0, Var("p"))
         assert m == hand and hash(m) == hash(hand)
@@ -186,8 +183,7 @@ def test_persistence_on_enumerated_models():
     rng = random.Random(11)
     fs = [formula(rng, rng.randrange(4), ("p", "q")) for _ in range(40)]
     for m in enumerate_models(2, ["p", "q"]):
-        for f in fs:
-            ext = evaluator(m)(f)
+        for f, ext in world_masks(m, fs).items():
             for (a, b) in m.leq:
                 if ext >> a & 1:
                     assert ext >> b & 1, (m, f, a, b)
@@ -354,7 +350,7 @@ def test_deep_formulas_evaluate_without_recursion():
     for i in range(20_000):
         f = Imp(q, f) if i % 2 else Box(f)
     m = chain2()
-    assert forces(m, 1, f) and evaluator(m)(f) == 0b11
+    assert forces(m, 1, f) and world_masks(m, [f])[f] == 0b11
     assert valid(m, sequent([], f)) and not valid(m, sequent([f], q))
     assert find_countermodel(sequent([], f), max_worlds=1) is None
     m, w = find_countermodel(sequent([f], q), max_worlds=1)
