@@ -6,11 +6,13 @@ imp_imp_lir and the invert family never increase height; contract,
 imp_imp_lil, imp_left and id_general may. Exchange needs no transform at
 all: antecedents are canonical multisets.
 
-Premise shapes come from the calculus: a node is rebuilt at its new
-conclusion by recursing into its premises, where the only rule-specific
-fact is whether premise i strips a box (_strips_box); left inversion takes
-its pieces from calculus.replacements and right inversion its targets from
-calculus.premises_of.
+weaken, unbox_left, contract and left inversion are one recursion, _edit:
+take some occurrences out of the antecedent, put others in, and carry that
+up the proof. An ordinary premise takes the edit unchanged, a premise that
+strips a box (_strips_box) takes it one box down, and a node whose
+principal is taken out is rebuilt by the transform's callback. Left
+inversion takes its pieces from calculus.replacements and right inversion
+its targets from calculus.premises_of.
 
 Throughout, a principal occurrence is designated by formula value; under
 multiset semantics equal occurrences are interchangeable, so nothing more
@@ -19,6 +21,7 @@ precise exists to designate.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .calculus import (
@@ -37,6 +40,7 @@ from .calculus import (
 from .formula import And, Bot, Box, Formula, Imp, Or, Var, print_formula
 from .sequent import Multiset, Sequent, unbox_one_level
 
+
 class TransformError(ValueError):
     """A transform was applied outside its precondition."""
 
@@ -50,69 +54,69 @@ def _strips_box(rule: RuleId, i: int) -> bool:
     return i == 0 and rule in _BOX_STRIPPING
 
 
+def _cancel(drop: Multiset, put: Multiset) -> tuple[Multiset, Multiset]:
+    """drop and put without the occurrences both hold. An edit that took
+    such an occurrence out and put it back would carry the removal up to
+    where a rule may have used that occurrence up already."""
+    both = Multiset(tuple((f, min(n, put.count(f))) for f, n in drop.entries if f in put))
+    return drop.remove_all(both), put.remove_all(both)
+
+
+def _edit(p: Derivation, drop: Multiset, put: Multiset, on_principal: Optional[Callable] = None) -> Derivation:
+    """p with the occurrences in drop taken out of its antecedent and those
+    in put added, at every node above; drop and put share none (_cancel).
+    Where a left rule's principal is taken out, on_principal(node, put)
+    rebuilds the node. Height preserving whenever on_principal is. A loop,
+    not a comprehension, so that each proof level costs one Python frame."""
+    if not (drop.entries or put.entries):
+        return p
+    if p.rule in LEFT_RULES and p.principal in drop:
+        return on_principal(p, put)
+    ant = p.root.ant.remove_all(drop) if drop.entries else p.root.ant
+    target = Sequent(ant.union(put) if put.entries else ant, p.root.suc)
+    children = []
+    for i, c in enumerate(p.children):
+        if _strips_box(p.rule, i) and any(isinstance(f, Box) for f, _ in drop.entries + put.entries):
+            # one box down; a box-free edit is the same there
+            c = _edit(c, *_cancel(unbox_one_level(drop), unbox_one_level(put)), on_principal)
+        else:
+            c = _edit(c, drop, put, on_principal)
+        children.append(c)
+    return Derivation(target, p.rule, p.principal, tuple(children))
+
+
 def weaken(p: Derivation, f: Formula) -> Derivation:
     """Add one antecedent occurrence of f; height preserving. In premises
     that strip a box a boxed f arrives unboxed."""
-    target = Sequent(p.root.ant.add(f), p.root.suc)
-    inner = f.body if isinstance(f, Box) else f
-    children = [weaken(c, inner if _strips_box(p.rule, i) else f) for i, c in enumerate(p.children)]
-    return Derivation(target, p.rule, p.principal, tuple(children))
+    return _edit(p, Multiset(), Multiset.of(f))
 
 
 def unbox_left(p: Derivation, designated: Iterable[Formula]) -> Derivation:
     """Strip the box from the designated boxed antecedent occurrences;
     height preserving. Empty designation returns p unchanged."""
     des = Multiset.from_iterable(designated)
-    if len(des) == 0:
-        return p
     for f in des.distinct():
         if not isinstance(f, Box):
             raise TransformError(f"cannot unbox non-boxed {print_formula(f)}")
     try:
-        stripped = p.root.ant.remove_all(des)
+        p.root.ant.remove_all(des)
     except KeyError as e:
         raise TransformError(str(e)) from None
-    bodies = [f.body for f in des]
-    target = Sequent(stripped.union(Multiset.from_iterable(bodies)), p.root.suc)
-    # in premises that strip a box the designated occurrences already lost
-    # one; only still-boxed bodies need further stripping there
-    deeper = [b for b in bodies if isinstance(b, Box)]
-    children = [unbox_left(c, deeper if _strips_box(p.rule, i) else des) for i, c in enumerate(p.children)]
-    return Derivation(target, p.rule, p.principal, tuple(children))
+    return _edit(p, *_cancel(des, Multiset.from_iterable(f.body for f in des)))
 
 
-def _commute_replace(
-    p: Derivation,
-    pi: Formula,
-    pieces: Sequence[Formula],
-    on_principal: Callable[[Derivation], Derivation],
-) -> Derivation:
+def _replace_into(p: Derivation, pi: Formula, pieces: Sequence[Formula], take: Callable) -> Derivation:
     """Replace one antecedent occurrence of the non-boxed composite pi by
-    pieces everywhere above, handing nodes where pi is principal to
-    on_principal. Height preserving whenever on_principal is."""
-    target = Sequent(
-        p.root.ant.remove(pi).union(Multiset.from_iterable(pieces)), p.root.suc
-    )
-    rule = p.rule
-    if rule in LEFT_RULES and p.principal == pi:
-        return on_principal(p)
-    # pi is neither falsum nor an atom, so a leaf's closing condition
-    # survives; in premises that strip a box boxed pieces arrive unboxed
-    children = []
-    for i, c in enumerate(p.children):
-        c = _commute_replace(c, pi, pieces, on_principal)
-        if _strips_box(rule, i):
-            c = unbox_left(c, [x for x in pieces if isinstance(x, Box)])
-        children.append(c)
-    return Derivation(target, rule, p.principal, tuple(children))
-
-
-def _replace_into(p: Derivation, pi: Formula, pieces: Sequence[Formula], i: int) -> Derivation:
-    """Replace one antecedent occurrence of pi by pieces, taking premise i
-    where pi is principal: inversion into premise i of pi's left rule."""
+    pieces everywhere above; where pi is principal, take(premises) proves
+    the node's sequent with pi replaced by pieces. Height preserving
+    whenever take is."""
     if pi not in p.root.ant:
         raise TransformError("principal occurrence missing")
-    return _commute_replace(p, pi, pieces, lambda n: n.children[i])
+    written = Multiset.from_iterable(pieces)
+    # pi is neither falsum nor an atom, so a leaf's closing condition
+    # survives; above a premise that strips a box, what take builds holds
+    # the pieces as written and is edited on to the unboxed ones there
+    return _edit(p, Multiset.of(pi), written, lambda n, put: _edit(take(n.children), *_cancel(written, put)))
 
 
 def _invert_right(p: Derivation, rule: RuleId, i: int) -> Derivation:
@@ -125,11 +129,13 @@ def _invert_right(p: Derivation, rule: RuleId, i: int) -> Derivation:
     if p.rule not in LEFT_RULES and p.rule is not RuleId.BotL:
         raise TransformError(f"cannot commute past {p.rule.value} here")
     target = premises_of(rule, p.root, None)[i]
-    side = p.rule in RIGHT_INVERTIBLE
-    children = [c if side and k == 0 else _invert_right(c, rule, i) for k, c in enumerate(p.children)]
+    children = list(p.children)
+    side = int(p.rule in RIGHT_INVERTIBLE)
     if side:
-        for x in target.ant.remove_all(p.root.ant):
-            children[0] = weaken(children[0], x.body if isinstance(x, Box) and _strips_box(p.rule, 0) else x)
+        added = target.ant.remove_all(p.root.ant)
+        children[0] = _edit(children[0], Multiset(), unbox_one_level(added) if _strips_box(p.rule, 0) else added)
+    for k in range(side, len(children)):
+        children[k] = _invert_right(children[k], rule, i)
     return Derivation(target, p.rule, p.principal, tuple(children))
 
 
@@ -141,7 +147,7 @@ def invert(rule: RuleId, p: Derivation, principal: Optional[Formula] = None) -> 
     try:
         if rule in LEFT_RULES:
             parts = replacements(rule, principal)
-            return [_replace_into(p, principal, pieces, i) for i, pieces in enumerate(parts)]
+            return [_replace_into(p, principal, pieces, itemgetter(i)) for i, pieces in enumerate(parts)]
         if p.rule is rule:
             return list(p.children)
         n = len(premises_of(rule, p.root, None))
@@ -155,7 +161,7 @@ def box_imp_lir(p: Derivation, principal: Formula) -> Derivation:
     preserving (inversion into the right premise of BoxImpL)."""
     if _left_rule(principal) is not RuleId.BoxImpL:
         raise TransformError("needs a box-headed implication")
-    return _replace_into(p, principal, [principal.right], 1)
+    return _replace_into(p, principal, [principal.right], itemgetter(1))
 
 
 def imp_imp_lir(p: Derivation, principal: Formula) -> Derivation:
@@ -163,7 +169,7 @@ def imp_imp_lir(p: Derivation, principal: Formula) -> Derivation:
     preserving (inversion into the right premise of ImpImpL)."""
     if _left_rule(principal) is not RuleId.ImpImpL:
         raise TransformError("needs an implication-headed implication")
-    return _replace_into(p, principal, [principal.right], 1)
+    return _replace_into(p, principal, [principal.right], itemgetter(1))
 
 
 def imp_imp_lil(p: Derivation, principal: Formula) -> Derivation:
@@ -172,17 +178,15 @@ def imp_imp_lil(p: Derivation, principal: Formula) -> Derivation:
     rebuild goes through imp_left."""
     if _left_rule(principal) is not RuleId.ImpImpL:
         raise TransformError("needs an implication-headed implication")
-    if principal not in p.root.ant:
-        raise TransformError("principal occurrence missing")
     a, b, c = principal.left.left, principal.left.right, principal.right
     bc = Imp(b, c)
 
-    def on_principal(n: Derivation) -> Derivation:
-        premise_goal = invert(RuleId.ImpR, n.children[0])[0]
-        side = weaken(weaken(n.children[1], a), bc)
+    def on_principal(premises: tuple[Derivation, ...]) -> Derivation:
+        premise_goal = invert(RuleId.ImpR, premises[0])[0]
+        side = weaken(weaken(premises[1], a), bc)
         return imp_left(premise_goal, side)
 
-    return _commute_replace(p, principal, [a, bc, bc], on_principal)
+    return _replace_into(p, principal, [a, bc, bc], on_principal)
 
 
 def id_general(f: Formula, context: Multiset = Multiset()) -> Derivation:
@@ -315,34 +319,28 @@ def imp_left(p1: Derivation, p2: Derivation) -> Derivation:
 def contract(p: Derivation, f: Formula) -> Derivation:
     """Merge two antecedent occurrences of f into one. Not height
     preserving; recursion on (weight of f, then proof height)."""
-    ant = p.root.ant
-    if ant.count(f) < 2:
+    if p.root.ant.count(f) < 2:
         raise TransformError(f"need two occurrences of {print_formula(f)} to contract")
-    target = Sequent(ant.remove(f), p.root.suc)
-    rule = p.rule
-    if rule in LEFT_RULES and p.principal == f:
-        return _contract_principal(p, f, target)
-    inner = f.body if isinstance(f, Box) else f
-    children = [contract(c, inner if _strips_box(rule, i) else f) for i, c in enumerate(p.children)]
-    return Derivation(target, rule, p.principal, tuple(children))
+    return _edit(p, Multiset.of(f), Multiset(), lambda n, _: _contract_principal(n))
 
 
-def _contract_principal(p: Derivation, f: Formula, target: Sequent) -> Derivation:
-    """f is principal at the root and a second copy sits in the context:
-    invert the copy inside the premises, contract the strictly lighter
-    pieces, and reapply the rule."""
-    rule = p.rule
+def _contract_principal(p: Derivation) -> Derivation:
+    """p's principal f has a second copy in the context: invert the copy
+    inside the premises, contract the strictly lighter pieces, and reapply
+    the rule without the copy."""
+    rule, f = p.rule, p.principal
+    target = Sequent(p.root.ant.remove(f), p.root.suc)
     if rule in INVERTIBLE_LEFT:
         subs = []
         for i, pieces in enumerate(replacements(rule, f)):
-            sub = _replace_into(p.children[i], f, pieces, i)
+            sub = _replace_into(p.children[i], f, pieces, itemgetter(i))
             for x in pieces:
                 sub = contract(sub, x)
             subs.append(sub)
         return node(rule, target, f, *subs)
     # ImpImpL or BoxImpL: the right premise replaced f by f.right and still
     # holds the copy; invert that into f.right as well and contract
-    right = contract(_replace_into(p.children[1], f, [f.right], 1), f.right)
+    right = contract(_replace_into(p.children[1], f, [f.right], itemgetter(1)), f.right)
     if rule is RuleId.BoxImpL:
         left = contract(box_imp_lir(p.children[0], f), f.right)
         return node(rule, target, f, left, right)

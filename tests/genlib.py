@@ -1,4 +1,5 @@
-"""Seeded random generators shared across the test suite.
+"""Seeded random generators shared across the test suite, and one tall
+proof.
 
 Every test that needs random data builds its own random.Random with an
 explicit seed so failures reproduce exactly.
@@ -8,7 +9,7 @@ import random
 from typing import Optional
 
 from islt import semantics
-from islt.calculus import Derivation, RuleId, node
+from islt.calculus import Derivation, RuleId, height, node
 from islt.formula import And, Bot, Box, Formula, Imp, Or, Var, weight
 from islt.search import Proved, prove
 from islt.sequent import Sequent, sequent
@@ -64,6 +65,15 @@ def random_sequent(
         s = sequent(ant, suc)
         if max_weight is None or sum(weight(f) for f in s.ant) + weight(s.suc) <= max_weight:
             return s
+
+
+def chain_proof(n: int, *extra: Formula) -> Derivation:
+    """The proof of p, p -> q1, ..., q(n-1) -> qn, extra => qn that the
+    prover finds: n AtomImpL steps over an IdP leaf, n + 1 high."""
+    atoms = [Var("p"), *(Var(f"q{i}") for i in range(1, n + 1))]
+    r = prove(sequent([atoms[0], *map(Imp, atoms, atoms[1:]), *extra], atoms[-1]))
+    assert isinstance(r, Proved) and height(r.proof) == n + 1
+    return r.proof
 
 
 def proved_proofs(rng: random.Random, count: int, depth: int = 3, variables=DEFAULT_VARS):

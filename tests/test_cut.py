@@ -4,14 +4,14 @@ import random
 import sys
 
 import pytest
-from genlib import formula, inject_cut, random_sequent
+from genlib import chain_proof, formula, inject_cut, random_sequent
 
-from islt.calculus import Derivation, RuleId, check, height, node, uses_cut
+from islt.calculus import Derivation, RuleId, check, node, uses_cut
 from islt.cut import CutError, CutInstance, cut_admissible, eliminate
-from islt.formula import Imp, Var
+from islt.formula import Var
 from islt.measure import shortlex_less
 from islt.search import Proved, prove
-from islt.sequent import Sequent, parse_sequent, sequent
+from islt.sequent import Sequent, parse_sequent
 from islt.structural import id_general
 
 
@@ -173,10 +173,8 @@ def test_cut_restores_the_callers_recursion_limit():
 def chain_cut(n):
     """The cut of p, p -> q1, ..., q(n-1) -> qn => qn, proved n + 1 high,
     against the identity on qn: as an instance and as a Cut node."""
-    atoms = [Var("p"), *(Var(f"q{i}") for i in range(1, n + 1))]
-    r = prove(sequent([atoms[0], *map(Imp, atoms, atoms[1:])], atoms[-1]))
-    assert isinstance(r, Proved) and height(r.proof) == n + 1
-    instance = CutInstance(r.proof, id_general(atoms[-1], r.proof.root.ant))
+    left = chain_proof(n)
+    instance = CutInstance(left, id_general(left.root.suc, left.root.ant))
     return instance, node(RuleId.Cut, instance.conclusion, None, instance.left, instance.right)
 
 
@@ -192,6 +190,19 @@ def test_a_proof_too_tall_for_the_limit_is_a_cut_error():
         assert sys.getrecursionlimit() == 500
     finally:
         sys.setrecursionlimit(before)
+
+
+def test_a_cut_that_contracts_a_tall_premise_is_made():
+    # the left premise is an IdP leaf on the atomic cut formula r, so the
+    # cut contracts r out of the 701-high right premise, one frame a level.
+    # Through a list comprehension contraction took two frames a level on
+    # Python 3.10 and 3.11 and failed above 495; 3.12 inlines
+    # comprehensions into the calling frame, so there it passed either way
+    r = Var("r")
+    right = chain_proof(700, r, r)
+    left = node(RuleId.IdP, Sequent(right.root.ant.remove(r), r), None)
+    out = cut_admissible(CutInstance(left, right))
+    assert check(out) is None and out.root == Sequent(left.root.ant, right.root.suc)
 
 
 def test_a_proof_within_the_default_limit_is_cut():

@@ -3,9 +3,9 @@
 import random
 
 import pytest
-from genlib import formula, proved_proofs, random_sequent
+from genlib import chain_proof, formula, proved_proofs, random_sequent
 
-from islt.calculus import RuleId, check, expand, height
+from islt.calculus import RuleId, check, expand, height, node
 from islt.formula import And, Bot, Box, Imp, Or, Var, parse_formula
 from islt.search import Proved, prove
 from islt.sequent import Multiset, Sequent, parse_sequent
@@ -248,6 +248,39 @@ def test_contract_boxed_and_nested_implication():
         out = contract(d, parse_formula(f))
         assert_ok(out)
         assert out.root == Sequent(d.root.ant.remove(parse_formula(f)), d.root.suc)
+
+
+def test_tall_proofs_at_the_default_recursion_limit():
+    # one Python frame a proof level. Through a list comprehension these
+    # transforms took two frames a level on Python 3.10 and 3.11 and failed
+    # above 496 levels; 3.12 inlines comprehensions into the calling frame,
+    # so there they passed either way
+    s, r = Box(Var("s")), Var("r")
+    d = chain_proof(700, s, r, r)
+    ant, suc = d.root.ant, d.root.suc
+    for out, expected in (
+        (weaken(d, r), ant.add(r)),
+        (unbox_left(d, [s]), ant.remove(s).add(s.body)),
+        (contract(d, r), ant.remove(r)),
+    ):
+        assert_ok(out)
+        assert out.root == Sequent(expected, suc)
+
+
+def test_right_inversion_through_a_tall_proof():
+    # ImpR over IdP under 700 AtomImpL steps: inverting ImpR commutes it
+    # past every step, one frame a level as in the test above
+    qs = [Var("p"), *(Var(f"q{i}") for i in range(1, 701))]
+    r, goal = Var("r"), Imp(Var("r"), qs[-1])
+    ant = Multiset.from_iterable(qs)
+    d = node(RuleId.ImpR, Sequent(ant, goal), None, node(RuleId.IdP, Sequent(ant.add(r), qs[-1]), None))
+    for a, b in reversed(list(zip(qs, qs[1:]))):
+        ant = ant.remove(b).add(Imp(a, b))
+        d = node(RuleId.AtomImpL, Sequent(ant, goal), Imp(a, b), d)
+    assert_ok(d)
+    (out,) = invert(RuleId.ImpR, d)
+    assert_ok(out)
+    assert out.root == Sequent(ant.add(r), qs[-1]) and height(out) == height(d) - 1
 
 
 def test_contract_needs_two_occurrences():
