@@ -76,8 +76,7 @@ def _edit(p: Derivation, drop: Multiset, put: Multiset, on_principal: Optional[C
     target = Sequent(ant.union(put) if put.entries else ant, p.root.suc)
     children = []
     for i, c in enumerate(p.children):
-        if _strips_box(p.rule, i) and any(isinstance(f, Box) for f, _ in drop.entries + put.entries):
-            # one box down; a box-free edit is the same there
+        if _strips_box(p.rule, i):
             c = _edit(c, *_cancel(unbox_one_level(drop), unbox_one_level(put)), on_principal)
         else:
             c = _edit(c, drop, put, on_principal)
