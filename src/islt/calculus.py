@@ -230,13 +230,13 @@ def premises_of(rule: RuleId, conclusion: Sequent, principal: Optional[Formula])
 def _principals(s: Sequent) -> dict[RuleId, list[Optional[Formula]]]:
     """Each rule that applies backward at s, with the principals s offers
     it in antecedent (sort_key) order, or [None] for a rule that takes
-    none: one pass, with a set of the antecedent's distinct formulas."""
-    entries, suc = s.ant.entries, s.suc
-    present = {f for f, _ in entries}
+    none: one pass over the antecedent's distinct formulas, in a dict that
+    also answers membership."""
+    present, suc = dict.fromkeys(s.ant.entries), s.suc
     out: dict[RuleId, list[Optional[Formula]]] = {_BotL: [None]} if Bot() in present else {}
     if type(suc) is Var and suc in present:
         out[_IdP] = [None]
-    for f, _ in entries:
+    for f in present:
         rule = _left_rule(f)
         if rule is not None and (rule is not _AtomImpL or f.left in present):
             out.setdefault(rule, []).append(f)

@@ -4,8 +4,8 @@ Exit codes are uniform across subcommands: 0 for provable, valid, or
 found; 1 for unprovable, invalid, or no countermodel within the bound;
 2 for usage errors, malformed input (input nested too deeply for the
 recursive parser, printer or search included), paths that cannot be read or
-written, and budget aborts. Output for a fixed invocation is byte-identical
-across runs.
+written, budget aborts, and running out of memory. Output for a fixed
+invocation is byte-identical across runs.
 
 Each command imports the modules it runs inside its own function: a
 process runs one command, and importing the rest of the package (cut
@@ -226,6 +226,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except RecursionError:
         print("error: input nested too deeply", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
     except SystemExit as e:
         if isinstance(e.code, str):

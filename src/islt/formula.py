@@ -23,6 +23,7 @@ the recursion limit.
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 from weakref import ref
 
 
@@ -206,15 +207,13 @@ def weight(f: Formula) -> int:
     return f.weight
 
 
-def sort_key(f: Formula) -> tuple:
-    """Injective key giving a total structural order on formulas: (0,) for
-    falsum, (1, name) for a variable, (5, key of body) for a box and
-    (rank, key of left, key of right) with ranks 2, 3, 4 for and, or, imp.
-
-    Keys of equal rank always have the same shape, so nested tuple
-    comparison never mixes types.
-    """
-    return f.key
+# Injective key giving a total structural order on formulas: (0,) for
+# falsum, (1, name) for a variable, (5, key of body) for a box and
+# (rank, key of left, key of right) with ranks 2, 3, 4 for and, or, imp.
+# Keys of equal rank always have the same shape, so nested tuple comparison
+# never mixes types. An attrgetter, so that sorting and bisection by it run
+# in C.
+sort_key = attrgetter("key")
 
 
 def variables(f: Formula) -> set[str]:

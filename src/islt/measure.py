@@ -8,6 +8,8 @@ search and cut recursions lean on.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .formula import weight
 from .sequent import Multiset, Sequent, unbox_one_level
 
@@ -17,14 +19,11 @@ Theta = list[int]
 def weight_histogram(ms: Multiset) -> Theta:
     """List of length max-weight; position k from the right (1-indexed)
     counts the occurrences of weight k. Empty multiset gives []."""
-    counts: dict[int, int] = {}
-    for f, n in ms.entries:
-        w = weight(f)
-        counts[w] = counts.get(w, 0) + n
+    counts = Counter(map(weight, ms))
     if not counts:
         return []
     top = max(counts)
-    return [counts.get(top - i, 0) for i in range(top)]
+    return [counts[top - i] for i in range(top)]
 
 
 def theta(s: Sequent) -> Theta:

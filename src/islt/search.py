@@ -141,7 +141,7 @@ def prove(
         if naive:
             pairs = [(inst.rule, inst.principal) for inst in expand(seq)]
             rng.shuffle(pairs)
-        elif seq.ant.entries and seq.ant.entries[0][0] is _BOT:  # # sorts first
+        elif seq.ant.entries and seq.ant.entries[0] is _BOT:  # # sorts first
             pairs = ((_BOTL, None),)
         elif type(seq.suc) is Var and seq.suc in seq.ant:
             pairs = ((_IDP, None),)

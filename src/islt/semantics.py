@@ -347,7 +347,7 @@ def enumerate_models(
 
 def find_countermodel(
     s: Sequent,
-    max_worlds: int = 3,
+    max_worlds: int = ENUMERATION_BOUND,
     bound: int = ENUMERATION_BOUND,
 ) -> Optional[tuple[KripkeModel, int]]:
     """First (model, world) forcing the antecedent but not the succedent:

@@ -1,53 +1,39 @@
 """Sequents over canonical multisets.
 
-Antecedents are multisets kept in a sorted canonical form, so structurally
-equal sequents compare and hash equal and exchange is a non-operation.
+An antecedent is a Multiset: the tuple of its formula occurrences, sorted
+by sort_key with repeats side by side. Structurally equal antecedents are
+therefore equal tuples, so sequents compare and hash equal and exchange is
+a non-operation. Counting, membership, length, iteration, equality and hash
+are the tuple's own operations; add and remove find their place by
+bisection on sort_key.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator
 
 from .formula import Box, Formula, _Parser, _Record, print_formula, sort_key
 from .formula import variables as formula_variables
 
 
-Entries = tuple[tuple[Formula, int], ...]
-
-
-def _put(entries: Entries, f: Formula, n: int) -> Entries:
-    """entries with n more occurrences of f (n < 0 removes), found by
-    bisection on the stored keys; removing more than present is an error."""
-    key = f.key
-    lo, hi = 0, len(entries)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        g = entries[mid][0]
-        if g is f:
-            lo = mid
-            break
-        if g.key < key:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo < len(entries) and entries[lo][0] is f:
-        have, rest = entries[lo][1], entries[lo + 1 :]
-    else:
-        have, rest = 0, entries[lo:]
-    total = have + n
-    if total < 0:
-        raise KeyError(f"removing {-n} of {print_formula(f)}, only {have} present")
-    if total == 0:
-        return entries[:lo] + rest
-    return entries[:lo] + ((f, total),) + rest
+def _remove(entries: tuple[Formula, ...], f: Formula, n: int) -> tuple[Formula, ...]:
+    """entries without n occurrences of f; removing more than present is an
+    error."""
+    i = bisect_left(entries, f.key, key=sort_key)
+    if entries[i : i + n].count(f) < n:
+        raise KeyError(f"removing {n} of {print_formula(f)}, only {entries.count(f)} present")
+    return entries[:i] + entries[i + n :]
 
 
 class Multiset(_Record):
-    """Multiset of formulas as (formula, count) entries sorted by sort_key."""
+    """Multiset of formulas. entries is the tuple of its occurrences sorted
+    by sort_key, repeats side by side; a direct call of the constructor must
+    pass them in that order, which of and from_iterable establish."""
 
     __slots__ = __match_args__ = ("entries",)
 
-    def __init__(self, entries: Entries = ()) -> None:
+    def __init__(self, entries: tuple[Formula, ...] = ()) -> None:
         _set_entries(self, entries)
 
     # the base's equality and hash, without its generic field tuple
@@ -57,7 +43,7 @@ class Multiset(_Record):
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash((self.entries,))
+        return hash(self.entries)
 
     @staticmethod
     def of(*formulas: Formula) -> "Multiset":
@@ -65,50 +51,40 @@ class Multiset(_Record):
 
     @staticmethod
     def from_iterable(formulas: Iterable[Formula]) -> "Multiset":
-        counts: dict[Formula, int] = {}
-        for f in formulas:
-            counts[f] = counts.get(f, 0) + 1
-        return Multiset(tuple((f, counts[f]) for f in sorted(counts, key=sort_key)))
+        return Multiset(tuple(sorted(formulas, key=sort_key)))
 
     def count(self, f: Formula) -> int:
-        for g, n in self.entries:
-            if g is f:
-                return n
-        return 0
+        return self.entries.count(f)
 
     def __contains__(self, f: Formula) -> bool:
-        return self.count(f) > 0
+        return f in self.entries
 
     def __len__(self) -> int:
-        return sum(n for _, n in self.entries)
+        return len(self.entries)
 
     def __iter__(self) -> Iterator[Formula]:
-        for f, n in self.entries:
-            for _ in range(n):
-                yield f
+        return iter(self.entries)
 
     def distinct(self) -> Iterator[Formula]:
-        for f, _ in self.entries:
-            yield f
+        return iter(dict.fromkeys(self.entries))
 
-    def add(self, f: Formula, n: int = 1) -> "Multiset":
-        return Multiset(_put(self.entries, f, n))
+    def add(self, f: Formula) -> "Multiset":
+        entries = self.entries
+        i = bisect_left(entries, f.key, key=sort_key)
+        return Multiset(entries[:i] + (f,) + entries[i:])
 
     def remove(self, f: Formula) -> "Multiset":
         """Drop one occurrence; absence is an error."""
-        return Multiset(_put(self.entries, f, -1))
+        return Multiset(_remove(self.entries, f, 1))
 
     def remove_all(self, other: "Multiset") -> "Multiset":
         entries = self.entries
-        for f, n in other.entries:
-            entries = _put(entries, f, -n)
+        for f in other.distinct():
+            entries = _remove(entries, f, other.count(f))
         return Multiset(entries)
 
     def union(self, other: "Multiset") -> "Multiset":
-        entries = self.entries
-        for f, n in other.entries:
-            entries = _put(entries, f, n)
-        return Multiset(entries)
+        return Multiset(tuple(sorted(self.entries + other.entries, key=sort_key)))
 
 
 def partition_boxed(a: Multiset) -> tuple[Multiset, Multiset]:
@@ -116,8 +92,8 @@ def partition_boxed(a: Multiset) -> tuple[Multiset, Multiset]:
     gamma the bodies of the boxed ones, one box level only. Boxes sort by
     their bodies, so gamma keeps the order of a."""
     return (
-        Multiset(tuple(e for e in a.entries if not isinstance(e[0], Box))),
-        Multiset(tuple((f.body, n) for f, n in a.entries if isinstance(f, Box))),
+        Multiset(tuple(f for f in a.entries if not isinstance(f, Box))),
+        Multiset(tuple(f.body for f in a.entries if isinstance(f, Box))),
     )
 
 

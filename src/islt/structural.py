@@ -21,6 +21,7 @@ precise exists to designate.
 
 from __future__ import annotations
 
+from collections import Counter
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -58,8 +59,8 @@ def _cancel(drop: Multiset, put: Multiset) -> tuple[Multiset, Multiset]:
     """drop and put without the occurrences both hold. An edit that took
     such an occurrence out and put it back would carry the removal up to
     where a rule may have used that occurrence up already."""
-    both = Multiset(tuple((f, min(n, put.count(f))) for f, n in drop.entries if f in put))
-    return drop.remove_all(both), put.remove_all(both)
+    d, p = Counter(drop), Counter(put)
+    return Multiset.from_iterable((d - p).elements()), Multiset.from_iterable((p - d).elements())
 
 
 def _edit(p: Derivation, drop: Multiset, put: Multiset, on_principal: Optional[Callable] = None) -> Derivation:

@@ -206,7 +206,7 @@ def test_check_reports_the_last_bad_premise():
 def test_tall_proofs_need_no_recursion():
     # 5,000 ImpR nodes over an IdP leaf, far past the default recursion limit
     n = 5000
-    ant, suc = Multiset().add(p, n), p
+    ant, suc = Multiset.from_iterable([p] * n), p
     d = node(RuleId.IdP, Sequent(ant, suc), None)
     for _ in range(n):
         ant, suc = ant.remove(p), Imp(p, suc)

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior via cli.main."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -155,6 +156,41 @@ def test_cutelim_writes_cut_free_file(capsys, tmp_path):
     assert calculus.check(out_proof) is None
     assert not calculus.uses_cut(out_proof)
     assert out_proof.root == base.root
+
+
+# The cut the packaging job eliminates: p /\ q cut in at p, q => q /\ p, where
+# eliminating it inverts AndL and weakens.
+_CI_CUT = (
+    r'{"sequent": {"ant": ["p", "q"], "suc": "q /\\ p"}, "rule": "Cut", "premises": [{"sequent": {"ant": ["p", "q"], '
+    r'"suc": "p /\\ q"}, "rule": "AndR", "premises": [{"sequent": {"ant": ["p", "q"], "suc": "p"}, "rule": "IdP"}, '
+    r'{"sequent": {"ant": ["p", "q"], "suc": "q"}, "rule": "IdP"}]}, {"sequent": {"ant": ["p", "q", "p /\\ q"], '
+    r'"suc": "q /\\ p"}, "rule": "AndL", "principal": "p /\\ q", "premises": [{"sequent": {"ant": ["p", "q", "p", '
+    r'"q"], "suc": "q /\\ p"}, "rule": "AndR", "premises": [{"sequent": {"ant": ["p", "q", "p", "q"], "suc": "q"}, '
+    r'"rule": "IdP"}, {"sequent": {"ant": ["p", "q", "p", "q"], "suc": "p"}, "rule": "IdP"}]}]}]}'
+)
+
+
+def test_packaging_job_digests(capsys, tmp_path):
+    """The certificates the packaging job pins byte for byte: a committed
+    proof through AndL, AndR, SLtR, AtomImpL and OrR1, a seeded naive proof,
+    whose rule order follows the principals' order, and a cut-free file."""
+    code, out, _ = run(capsys, "prove", "--sequent", "[](p -> q), []p, r /\\ s => []q /\\ (r \\/ #)")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "ef876b340fa9176d00fb466d868757a5347ee01503b178a13d0ee51fd3ea2dd5"
+    )
+    code, out, _ = run(capsys, "prove", "--naive", "--seed", "7", "p -> []p")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "4e32fd1c1274dfd379b5223df4510842c3d9cbb7d06202603b5095084fd3e1ea"
+    )
+    cut, eliminated = tmp_path / "cut.json", tmp_path / "eliminated.json"
+    cut.write_text(_CI_CUT + "\n", encoding="utf-8")
+    code, _, _ = run(capsys, "cutelim", str(cut), "-o", str(eliminated))
+    assert code == 0
+    assert hashlib.sha256(eliminated.read_bytes()).hexdigest() == (
+        "ebabb6ab5f1f78870c8ec375030da18fb7674cb6f8d7c1a465586145d879422a"
+    )
 
 
 def test_cutelim_rejects_broken_certificate(capsys, tmp_path):
@@ -317,6 +353,40 @@ def test_unreadable_or_unwritable_path_exits_2(capsys, tmp_path, command):
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
     assert "Traceback" not in err
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    def exhausted(d):
+        raise MemoryError
+
+    monkeypatch.setattr(calculus, "dumps", exhausted)
+    code, out, err = run(capsys, "prove", "p -> p")
+    assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
+# Proves valid de Bruijn(9) with the child's address space capped at 100 MB
+# above what it has mapped: the proof's JSON does not fit.
+_CAPPED = r"""
+import resource, sys
+from islt.cli import main
+def iff(a, b):
+    return f"(({a} -> {b}) /\\ ({b} -> {a}))"
+ps = [f"p{i}" for i in range(9)]
+c = "(" + " /\\ ".join(ps) + ")"
+goal = "(" + " /\\ ".join(f"({iff(a, b)} -> {c})" for a, b in zip(ps, ps[1:] + ps[:1])) + f") -> {c}"
+with open("/proc/self/statm") as fh:
+    mapped = int(fh.read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS, (mapped + (100 << 20), resource.RLIM_INFINITY))
+sys.exit(main(["prove", goal]))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs /proc/self/statm")
+def test_out_of_memory_in_a_capped_process_exits_2():
+    got = _fresh(_CAPPED)
+    assert got.returncode == 2
+    assert got.stderr == "error: out of memory\n"
+    assert got.stdout == ""
 
 
 def test_usage_error_raises_system_exit():

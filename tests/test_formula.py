@@ -61,7 +61,7 @@ def test_print_minimal_parentheses():
 
 # the tokens, and two characters that are none
 _TOKENS = ("p", "q", "r1", "#", "->", "\\/", "/\\", "[]", "~", "(", ")", ",", "=>", "P", "$")
-SYNTAX_DIGEST = "ec8f31ae0d59a66310a064ebb5ccd5096b6880e321d7645126b68a050c7808f9"
+SYNTAX_DIGEST = "3c6e81b25e92956632e738feb346652c3e933407e671463b3f3f8d25ce97ade2"
 
 
 def _parsed(parse, text: str) -> str:

@@ -19,7 +19,7 @@ p = Var("p")
 
 
 def _ant():
-    return Multiset(((p, 1),))
+    return Multiset((p,))
 
 
 def _seq():
@@ -30,12 +30,12 @@ def _leaf():
     return Derivation(_seq(), RuleId.IdP, None, ())
 
 
-_SEQ = "Sequent(ant=Multiset(entries=((Var('p'), 1),)), suc=Var('p'))"
+_SEQ = "Sequent(ant=Multiset(entries=(Var('p'),)), suc=Var('p'))"
 _LEAF = f"Derivation(root={_SEQ}, rule=<RuleId.IdP: 'IdP'>, principal=None, children=())"
 
 # (build, repr text, field names); build makes a new, equal value each call
 CASES = {
-    "Multiset": (lambda: Multiset(((p, 2),)), "Multiset(entries=((Var('p'), 2),))", ("entries",)),
+    "Multiset": (lambda: Multiset((p, p)), "Multiset(entries=(Var('p'), Var('p')))", ("entries",)),
     "Sequent": (_seq, _SEQ, ("ant", "suc")),
     "RuleInstance": (
         lambda: RuleInstance(RuleId.IdP, _seq()),

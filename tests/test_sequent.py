@@ -1,9 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
 from genlib import formula
-from islt.formula import And, Bot, Box, Imp, Or, Var, parse_formula, sort_key
+from islt.formula import And, Bot, Box, Imp, Or, Var, parse_formula, print_formula, sort_key
 from islt.sequent import (
     Multiset,
     Sequent,
@@ -106,3 +107,50 @@ def test_random_sequent_roundtrip():
         fs = [formula(rng, rng.randrange(0, 5)) for _ in range(rng.randrange(0, 4))]
         s = sequent(fs, formula(rng, rng.randrange(0, 5)))
         assert parse_sequent(print_sequent(s)) == s
+
+
+def _oracle(counts: Counter) -> list:
+    """The occurrences counts holds, sorted by sort_key, repeats side by side."""
+    return sorted(counts.elements(), key=sort_key)
+
+
+def test_multiset_against_a_counter_oracle():
+    rng = random.Random(23)
+    pool = list(dict.fromkeys(formula(rng, rng.randrange(0, 3)) for _ in range(12)))
+    for _ in range(400):
+        fs = [rng.choice(pool) for _ in range(rng.randrange(0, 7))]
+        want = Counter(fs)
+        m = Multiset.from_iterable(fs)
+        shuffled = fs[:]
+        rng.shuffle(shuffled)
+        other_order = Multiset.of(*shuffled)
+        assert m == other_order and hash(m) == hash(other_order)
+        assert list(m) == list(m.entries) == _oracle(want)
+        assert len(m) == len(fs)
+        assert list(m.distinct()) == sorted(want, key=sort_key)
+        for f in pool:
+            assert m.count(f) == want[f] and (f in m) == (want[f] > 0)
+        # built one occurrence at a time, in another order
+        built = Multiset()
+        for f in shuffled:
+            built = built.add(f)
+        assert built == m and hash(built) == hash(m)
+        f = rng.choice(pool)
+        assert list(m.add(f)) == _oracle(want + Counter([f]))
+        if want[f]:
+            assert list(m.remove(f)) == _oracle(want - Counter([f]))
+        else:
+            with pytest.raises(KeyError) as e:
+                m.remove(f)
+            assert e.value.args[0] == f"removing 1 of {print_formula(f)}, only 0 present"
+        gs = [rng.choice(pool) for _ in range(rng.randrange(0, 4))]
+        other = Multiset.from_iterable(gs)
+        assert list(m.union(other)) == _oracle(want + Counter(gs))
+        short = Counter(gs) - want
+        if short:
+            g = min(short, key=sort_key)
+            with pytest.raises(KeyError) as e:
+                m.remove_all(other)
+            assert e.value.args[0] == f"removing {gs.count(g)} of {print_formula(g)}, only {want[g]} present"
+        else:
+            assert list(m.remove_all(other)) == _oracle(want - Counter(gs))
