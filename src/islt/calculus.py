@@ -102,11 +102,7 @@ class RuleInstance(_Record):
     """A rule applied backward at its conclusion."""
 
     __slots__ = __match_args__ = ("rule", "conclusion", "principal")
-
-    def __init__(self, rule: RuleId, conclusion: Sequent, principal: Optional[Formula] = None) -> None:
-        _set_inst_rule(self, rule)
-        _set_inst_conclusion(self, conclusion)
-        _set_inst_principal(self, principal)
+    _DEFAULTS = {"principal": None}
 
     @property
     def premises(self) -> tuple[Sequent, ...]:
@@ -120,14 +116,6 @@ class Derivation(_Record):
 
     __slots__ = __match_args__ = ("root", "rule", "principal", "children")
 
-    def __init__(
-        self, root: Sequent, rule: RuleId, principal: Optional[Formula], children: tuple[Derivation, ...]
-    ) -> None:
-        _set_root(self, root)
-        _set_rule(self, rule)
-        _set_principal(self, principal)
-        _set_children(self, children)
-
 
 class Violation(_Record):
     """Where a check failed, as a path of premise indices from the root,
@@ -135,24 +123,9 @@ class Violation(_Record):
 
     __slots__ = __match_args__ = ("path", "reason")
 
-    def __init__(self, path: tuple[int, ...], reason: str) -> None:
-        _set_path(self, path)
-        _set_reason(self, reason)
-
     def __str__(self) -> str:
         where = "/".join(str(i) for i in self.path) or "root"
         return f"at {where}: {self.reason}"
-
-
-# slot setters that bypass the immutability guard, for construction only
-_set_inst_rule, _set_inst_conclusion, _set_inst_principal = (
-    RuleInstance.rule.__set__,
-    RuleInstance.conclusion.__set__,
-    RuleInstance.principal.__set__,
-)
-_set_root, _set_rule = Derivation.root.__set__, Derivation.rule.__set__
-_set_principal, _set_children = Derivation.principal.__set__, Derivation.children.__set__
-_set_path, _set_reason = Violation.path.__set__, Violation.reason.__set__
 
 
 def _shaped(rule: RuleId, f: Optional[Formula]) -> Formula:

@@ -3,9 +3,10 @@
 Exit codes are uniform across subcommands: 0 for provable, valid, or
 found; 1 for unprovable, invalid, or no countermodel within the bound;
 2 for usage errors, malformed input (input nested too deeply for the
-recursive parser, printer or search included), paths that cannot be read or
-written, budget aborts, and running out of memory. Output for a fixed
-invocation is byte-identical across runs.
+recursive parser or printer included), paths that cannot be read or
+written, budget aborts, a search that goes deeper than the recursion limit,
+and running out of memory. Output for a fixed invocation is byte-identical
+across runs.
 
 Each command imports the modules it runs inside its own function: a
 process runs one command, and importing the rest of the package (cut
@@ -90,7 +91,10 @@ def _cmd_prove(args: argparse.Namespace) -> int:
         seed = random.SystemRandom().randrange(2**31)
     if args.naive:
         print(f"seed: {seed}", file=sys.stderr)
-    result = prove(goal, naive=args.naive, seed=seed, budget=budget)
+    try:
+        result = prove(goal, naive=args.naive, seed=seed, budget=budget)
+    except RecursionError:
+        raise SystemExit("error: search went deeper than the recursion limit")
     if isinstance(result, Proved):
         if args.emit == "json":
             print(calculus.dumps(result.proof))

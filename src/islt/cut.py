@@ -66,10 +66,6 @@ class CutInstance(_Record):
 
     __slots__ = __match_args__ = ("left", "right")
 
-    def __init__(self, left: Derivation, right: Derivation) -> None:
-        _set_left(self, left)
-        _set_right(self, right)
-
     @property
     def context(self) -> Multiset:
         return self.left.root.ant
@@ -99,10 +95,6 @@ class CutInstance(_Record):
             bad = check(d)
             if bad is not None:
                 raise CutError(f"{name} premise fails checking: {bad}")
-
-
-# slot setters that bypass the immutability guard, for construction only
-_set_left, _set_right = CutInstance.left.__set__, CutInstance.right.__set__
 
 
 def cut_admissible(instance: CutInstance, debug: bool = False, log: Optional[list] = None) -> Derivation:

@@ -88,18 +88,7 @@ class HilbertNode(_Record):
     instance."""
 
     __slots__ = __match_args__ = ("context", "conclusion", "rule", "axiom", "subst", "children")
-
-    def __init__(
-        self,
-        context: frozenset[Formula],
-        conclusion: Formula,
-        rule: HilbertRule,
-        axiom: Optional[AxiomId] = None,
-        subst: Optional[tuple[tuple[str, Formula], ...]] = None,
-        children: tuple[HilbertNode, ...] = (),
-    ) -> None:
-        for setter, value in zip(_SETTERS, (context, conclusion, rule, axiom, subst, children)):
-            setter(self, value)
+    _DEFAULTS = {"axiom": None, "subst": None, "children": ()}
 
     def __str__(self) -> str:
         ctx = ", ".join(sorted(print_formula(f) for f in self.context))
@@ -109,10 +98,6 @@ class HilbertNode(_Record):
         # the context in sort_key order: hash order follows addresses, which vary
         ctx = ", ".join(map(repr, sorted(self.context, key=sort_key)))
         return super().__repr__().replace(repr(self.context), f"frozenset({{{ctx}}})" if ctx else "frozenset()", 1)
-
-
-# slot setters that bypass the immutability guard, for construction only
-_SETTERS = tuple(getattr(HilbertNode, name).__set__ for name in HilbertNode.__slots__)
 
 
 def ax(context: frozenset[Formula], a: AxiomId, subst: Mapping[str, Formula]) -> HilbertNode:

@@ -9,17 +9,18 @@ search and cut recursions lean on.
 from __future__ import annotations
 
 from collections import Counter
+from typing import Iterable
 
-from .formula import weight
-from .sequent import Multiset, Sequent, unbox_one_level
+from .formula import Box, Formula, weight
+from .sequent import Sequent
 
 Theta = list[int]
 
 
-def weight_histogram(ms: Multiset) -> Theta:
+def weight_histogram(formulas: Iterable[Formula]) -> Theta:
     """List of length max-weight; position k from the right (1-indexed)
-    counts the occurrences of weight k. Empty multiset gives []."""
-    counts = Counter(map(weight, ms))
+    counts the occurrences of weight k. No formulas give []."""
+    counts = Counter(map(weight, formulas))
     if not counts:
         return []
     top = max(counts)
@@ -27,7 +28,9 @@ def weight_histogram(ms: Multiset) -> Theta:
 
 
 def theta(s: Sequent) -> Theta:
-    return weight_histogram(unbox_one_level(s.ant).add(s.suc))
+    """weight_histogram(unbox_one_level(s.ant).add(s.suc)), without building
+    and sorting that multiset."""
+    return weight_histogram([f.body if isinstance(f, Box) else f for f in s.ant.entries] + [s.suc])
 
 
 def shortlex_less(a: Theta, b: Theta) -> bool:

@@ -41,18 +41,12 @@ class Proved(_Record):
 
     __slots__ = __match_args__ = ("proof",)
 
-    def __init__(self, proof: Derivation) -> None:
-        _set_proof(self, proof)
-
 
 class _Explored(_Record):
     """A result without a proof; explored counts the distinct sequents
     visited."""
 
     __slots__ = __match_args__ = ("explored",)
-
-    def __init__(self, explored: int) -> None:
-        _set_explored(self, explored)
 
 
 class Unprovable(_Explored):
@@ -65,10 +59,6 @@ class BudgetExceeded(_Explored):
     """The budget ran out before a verdict."""
 
     __slots__ = ()
-
-
-# slot setters that bypass the immutability guard, for construction only
-_set_proof, _set_explored = Proved.proof.__set__, _Explored.explored.__set__
 
 
 SearchResult = Union[Proved, Unprovable, BudgetExceeded]

@@ -32,11 +32,9 @@ class Multiset(_Record):
     pass them in that order, which of and from_iterable establish."""
 
     __slots__ = __match_args__ = ("entries",)
+    _DEFAULTS = {"entries": ()}
 
-    def __init__(self, entries: tuple[Formula, ...] = ()) -> None:
-        _set_entries(self, entries)
-
-    # the base's equality and hash, without its generic field tuple
+    # the base's equality and hash, without building a field tuple
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.entries == other.entries
@@ -137,7 +135,6 @@ class Sequent(_Record):
 
 
 # slot setters that bypass the immutability guard, for construction only
-_set_entries = Multiset.entries.__set__
 _set_ant, _set_suc, _set_hash = Sequent.ant.__set__, Sequent.suc.__set__, Sequent._hash.__set__
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import islt
-from islt import calculus
+from islt import calculus, search
 from islt.cli import main
 from islt.formula import Var
 from islt.hilbert import AxiomId, ax, dumps as hilbert_dumps
@@ -362,6 +362,17 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
     monkeypatch.setattr(calculus, "dumps", exhausted)
     code, out, err = run(capsys, "prove", "p -> p")
     assert (code, out, err) == (2, "", "error: out of memory\n")
+
+
+def test_search_past_the_recursion_limit_exits_2(capsys, monkeypatch):
+    # a shallow goal whose search outruns the limit, as valid de Bruijn(20)
+    # does after seconds: named as the search's, not as nested input
+    def too_deep(*args, **kwargs):
+        raise RecursionError
+
+    monkeypatch.setattr(search, "prove", too_deep)
+    code, out, err = run(capsys, "prove", "p -> p")
+    assert (code, out, err) == (2, "", "error: search went deeper than the recursion limit\n")
 
 
 # Proves valid de Bruijn(9) with the child's address space capped at 100 MB

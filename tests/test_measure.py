@@ -2,9 +2,9 @@ import random
 
 from genlib import random_sequent
 from islt.calculus import expand
-from islt.formula import weight
+from islt.formula import Box, weight
 from islt.measure import shortlex_less, theta, weight_histogram
-from islt.sequent import Multiset, Sequent, parse_sequent
+from islt.sequent import Multiset, Sequent, parse_sequent, unbox_one_level
 
 
 def test_worked_examples():
@@ -68,3 +68,15 @@ def test_without_unboxing_the_strong_rule_does_not_decrease():
     assert not shortlex_less(flat_theta(prem), flat_theta(s))
     # the real measure handles it
     assert shortlex_less(theta(prem), theta(s))
+
+
+def test_theta_against_the_multiset_definition():
+    """theta reads the stored weights; the oracle builds the unboxed
+    antecedent plus the succedent as a multiset and histograms it."""
+    rng = random.Random(61)
+    boxed = 0
+    for _ in range(3000):
+        s = random_sequent(rng, 5, max_ant=5)
+        assert theta(s) == weight_histogram(unbox_one_level(s.ant).add(s.suc)), s
+        boxed += sum(isinstance(f, Box) for f in s.ant)
+    assert boxed > 1000

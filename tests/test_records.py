@@ -3,6 +3,7 @@ repr text, equality and hash by value within one class only, pickling and
 copying, and no assignment or deletion after construction."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -100,3 +101,63 @@ def test_record_value_semantics(name):
         a.extra = None
     assert a == b and repr(a) == text
 
+
+# The constructors as written by hand before _Record wrote them: each
+# parameter's name and default, in order; _REQUIRED marks one without.
+_REQUIRED = inspect.Parameter.empty
+SIGNATURES = {
+    RuleInstance: (("rule", _REQUIRED), ("conclusion", _REQUIRED), ("principal", None)),
+    Derivation: (("root", _REQUIRED), ("rule", _REQUIRED), ("principal", _REQUIRED), ("children", _REQUIRED)),
+    Violation: (("path", _REQUIRED), ("reason", _REQUIRED)),
+    Proved: (("proof", _REQUIRED),),
+    Unprovable: (("explored", _REQUIRED),),
+    BudgetExceeded: (("explored", _REQUIRED),),
+    CutInstance: (("left", _REQUIRED), ("right", _REQUIRED)),
+    HilbertNode: (
+        ("context", _REQUIRED),
+        ("conclusion", _REQUIRED),
+        ("rule", _REQUIRED),
+        ("axiom", None),
+        ("subst", None),
+        ("children", ()),
+    ),
+    Multiset: (("entries", ()),),
+}
+
+
+@pytest.mark.parametrize("cls", SIGNATURES, ids=lambda cls: cls.__name__)
+def test_written_constructor_keeps_the_hand_written_signature(cls):
+    assert cls.__init__.__code__.co_filename == "<string>"
+    params = inspect.signature(cls).parameters.values()
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, default) for name, default in SIGNATURES[cls]
+    ]
+
+    a = CASES[cls.__name__][0]()
+    values = {name: getattr(a, name) for name, _ in SIGNATURES[cls]}
+    assert cls(**values) == a
+    required = {name: values[name] for name, default in SIGNATURES[cls] if default is _REQUIRED}
+    assert cls(**required)._fields() == tuple(
+        values[name] if default is _REQUIRED else default for name, default in SIGNATURES[cls]
+    )
+
+    positional = list(values.values())
+    with pytest.raises(TypeError):
+        cls(*positional, None)
+    with pytest.raises(TypeError):
+        cls(**values, extra=None)
+    if required:
+        with pytest.raises(TypeError):
+            cls(*list(required.values())[:-1])
+
+
+def test_sequent_kripke_model_and_formulas_keep_their_own_constructors():
+    assert "__init__" not in Var.__dict__ and Var.__new__.__code__.co_filename == inspect.getfile(Var)
+    assert Var("p") is p
+    for cls in (Sequent, KripkeModel):
+        assert cls.__init__.__code__.co_filename == inspect.getfile(cls)
+    # the cached hash is not a field, and the valuation is copied
+    assert Sequent(ant=_ant(), suc=p)._hash is None
+    valuation = {"p": frozenset({0})}
+    m = KripkeModel(worlds=1, leq=frozenset({(0, 0)}), r=frozenset(), valuation=valuation)
+    assert m.valuation == valuation and m.valuation is not valuation
