@@ -340,35 +340,36 @@ def loads(text: str) -> Derivation:
 
 
 def render_text(d: Derivation) -> str:
+    """One line a node, indented by depth, premises first to last."""
     lines: list[str] = []
-
-    def walk(n: Derivation, depth: int) -> None:
+    stack = [(d, 0)]
+    while stack:
+        n, depth = stack.pop()
         tag = n.rule.value
         if n.principal is not None:
             tag += f" on {print_formula(n.principal)}"
         lines.append("  " * depth + f"{n.root}   [{tag}]")
-        for c in n.children:
-            walk(c, depth + 1)
-
-    walk(d, 0)
+        stack.extend((c, depth + 1) for c in reversed(n.children))
     return "\n".join(lines) + "\n"
 
 
 def render_dot(d: Derivation) -> str:
+    """Nodes in render_text's order; the edge into a node waits on the stack
+    under the node's premises, so it follows the node's subtree."""
     lines = ["digraph proof {", '  node [shape=box, fontname="monospace"];']
-    counter = 0
-
-    def walk(n: Derivation) -> int:
-        nonlocal counter
-        me = counter
-        counter += 1
+    stack: list = [(d, None)]
+    me = 0
+    while stack:
+        top = stack.pop()
+        if isinstance(top, str):
+            lines.append(top)
+            continue
+        n, parent = top
         label = str(n.root).replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  n{me} [label="{label}\\n{n.rule.value}"];')
-        for c in n.children:
-            child = walk(c)
-            lines.append(f"  n{me} -> n{child};")
-        return me
-
-    walk(d)
+        if parent is not None:
+            stack.append(f"  n{parent} -> n{me};")
+        stack.extend((c, me) for c in reversed(n.children))
+        me += 1
     lines.append("}")
     return "\n".join(lines) + "\n"

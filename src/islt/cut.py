@@ -1,11 +1,16 @@
 """Cut admissibility and elimination.
 
-A cut joins a proof of G => f with a proof of G, f => chi into a proof of
-G => chi. The construction recurses on the pair (weight of the cut
+A cut joins two proofs: a proof of G => f and a proof of G, f => chi make a
+proof of G => chi. The construction recurses on the pair (weight of the cut
 formula, ordering measure of the conclusion), lexicographically: every
 recursive cut either has a strictly lighter cut formula or the same
 formula with a strictly smaller conclusion measure. With debug enabled
 that descent is asserted at every step and exposed through the log.
+
+There is one way into the construction. ``eliminate`` checks a derivation
+that may hold Cut nodes through ``calculus.check``, the one statement of
+the Cut rule, then replaces each Cut node bottom-up; ``cut_admissible`` is
+``eliminate`` on the Cut node its instance makes.
 
 The construction recurses on proof height within the caller's recursion
 limit and never changes that limit. When a proof is too tall for it,
@@ -15,6 +20,7 @@ needs taller proofs raises the interpreter's limit itself before the call.
 
 from __future__ import annotations
 
+import operator
 from functools import partial
 from itertools import repeat
 from typing import Optional
@@ -27,11 +33,10 @@ from .calculus import (
     RuleId,
     check,
     node,
-    uses_cut,
 )
-from .formula import Formula, Imp, _Record, print_formula, weight
+from .formula import Imp, _Record, print_formula, weight
 from .measure import Theta, shortlex_less, theta
-from .sequent import Multiset, Sequent, boxed_occurrences
+from .sequent import Sequent, boxed_occurrences
 from .structural import (
     box_imp_lir,
     contract,
@@ -45,7 +50,7 @@ from .structural import (
 
 
 class CutError(ValueError):
-    """A malformed cut instance, or a proof too tall for the recursion limit."""
+    """Input that fails checking, or a proof too tall for the recursion limit."""
 
 
 _TOO_TALL = "proof too tall for the recursion limit; raise the limit to cut it"
@@ -61,49 +66,19 @@ def _measure_less(a: Measure, b: Measure) -> bool:
 
 
 class CutInstance(_Record):
-    """Two cut-free premises sharing a context: left proves context => cut
-    formula, right proves context, cut formula => goal."""
+    """Two premises to cut: left proves G => f, right proves G, f => chi."""
 
     __slots__ = __match_args__ = ("left", "right")
 
     @property
-    def context(self) -> Multiset:
-        return self.left.root.ant
-
-    @property
-    def cut_formula(self) -> Formula:
-        return self.left.root.suc
-
-    @property
-    def goal(self) -> Formula:
-        return self.right.root.suc
-
-    @property
     def conclusion(self) -> Sequent:
-        return Sequent(self.context, self.goal)
-
-    def validate(self) -> None:
-        expected = self.context.add(self.cut_formula)
-        if self.right.root.ant != expected:
-            raise CutError(
-                "right antecedent must be the left antecedent plus the cut formula; "
-                f"got {self.right.root.ant} expecting {expected}"
-            )
-        for name, d in (("left", self.left), ("right", self.right)):
-            if uses_cut(d):
-                raise CutError(f"{name} premise is not cut-free")
-            bad = check(d)
-            if bad is not None:
-                raise CutError(f"{name} premise fails checking: {bad}")
+        return Sequent(self.left.root.ant, self.right.root.suc)
 
 
 def cut_admissible(instance: CutInstance, debug: bool = False, log: Optional[list] = None) -> Derivation:
-    """A cut-free proof of the instance's conclusion."""
-    instance.validate()
-    try:
-        return _cut(None, debug, log, instance.left, instance.right)
-    except RecursionError:
-        raise CutError(_TOO_TALL) from None
+    """A cut-free proof of the instance's conclusion: eliminate on the Cut
+    node the instance makes, so its premises may hold cuts too."""
+    return eliminate(node(RuleId.Cut, instance.conclusion, None, instance.left, instance.right), debug, log)
 
 
 def _enter(d1: Derivation, d2: Derivation, parent: Optional[Measure], debug: bool, log) -> Optional[Measure]:
@@ -317,18 +292,19 @@ def _cut_sltr(d1: Derivation, d2: Derivation, go) -> Derivation:
 
 
 def eliminate(d: Derivation, debug: bool = False, log: Optional[list] = None) -> Derivation:
-    """Rewrite every Cut node bottom-up through cut_admissible; the result
-    is cut-free with the same root sequent."""
+    """Check d, Cut nodes allowed, then replace every Cut node bottom-up by
+    the cut of its rewritten premises; the result is cut-free with the same
+    root sequent. A node none of whose premises changed is kept as it is."""
     bad = check(d, allow_cut=True)
     if bad is not None:
         raise CutError(f"input fails checking: {bad}")
 
     def rewrite(n: Derivation) -> Derivation:
-        if not n.children:
-            return n
         children = tuple(map(rewrite, n.children))
         if n.rule is RuleId.Cut:
             return _cut(None, debug, log, *children)
+        if all(map(operator.is_, children, n.children)):
+            return n
         return node(n.rule, n.root, n.principal, *children)
 
     try:
@@ -337,4 +313,3 @@ def eliminate(d: Derivation, debug: bool = False, log: Optional[list] = None) ->
         raise CutError(_TOO_TALL) from None
     assert out.root == d.root
     return out
-

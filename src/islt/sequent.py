@@ -102,8 +102,7 @@ def boxed_occurrences(a: Multiset) -> list[Formula]:
 
 def unbox_one_level(a: Multiset) -> Multiset:
     """Strip one box from every boxed occurrence, keep the rest."""
-    phi, gamma = partition_boxed(a)
-    return phi.union(gamma)
+    return Multiset.from_iterable(f.body if isinstance(f, Box) else f for f in a.entries)
 
 
 class Sequent(_Record):

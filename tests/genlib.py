@@ -1,11 +1,12 @@
-"""Seeded random generators shared across the test suite, and one tall
-proof.
+"""Seeded random generators shared across the test suite, one tall proof,
+and the search families at small sizes.
 
 Every test that needs random data builds its own random.Random with an
 explicit seed so failures reproduce exactly.
 """
 
 import random
+from functools import reduce
 from typing import Optional
 
 from islt import semantics
@@ -112,3 +113,57 @@ def inject_cut(rng, d):
     right = id_general(t.root.suc, t.root.ant)
     cut_node = node(RuleId.Cut, t.root, None, t, right)
     return _replace(d, path, cut_node)
+
+
+# Search families after the ILTP library (Raths, Otten & Kreitz, JAR 2007),
+# small sizes only. An empty disjunction is #.
+
+
+def _disj(fs) -> Formula:
+    return reduce(Or, fs) if fs else Bot()
+
+
+def de_bruijn(m: int) -> Formula:
+    """(/\\_i ((p_i <-> p_(i+1 mod m)) -> c)) -> c with c = p_0 /\\ ... /\\
+    p_(m-1): valid at odd m, invalid at even m."""
+    ps = [Var(f"p{i}") for i in range(m)]
+    c = reduce(And, ps)
+    iffs = [And(Imp(a, b), Imp(b, a)) for a, b in zip(ps, ps[1:] + ps[:1])]
+    return Imp(reduce(And, [Imp(e, c) for e in iffs]), c)
+
+
+def pigeonhole(pigeons: int, holes: int, boxed: bool = False) -> Formula:
+    """(/\\_i \\/_j o_ij) -> \\/_j \\/_(i<k) (o_ij /\\ o_kj): every pigeon in
+    a hole forces two pigeons into one. Valid when pigeons > holes. Boxed
+    puts each pigeon's disjunction and the goal under []."""
+    o = [[Var(f"o{i}_{j}") for j in range(holes)] for i in range(pigeons)]
+    wrap = Box if boxed else (lambda f: f)
+    sits = reduce(And, [wrap(_disj(row)) for row in o])
+    clash = _disj([And(o[i][j], o[k][j]) for j in range(holes) for i in range(pigeons) for k in range(i + 1, pigeons)])
+    return Imp(sits, wrap(clash))
+
+
+def schwichtenberg(n: int) -> Formula:
+    """(p_0 /\\ /\\_i (p_i -> p_i -> p_(i+1))) -> p_n, valid."""
+    ps = [Var(f"p{i}") for i in range(n + 1)]
+    return Imp(reduce(And, [ps[0], *(Imp(a, Imp(a, b)) for a, b in zip(ps, ps[1:]))]), ps[n])
+
+
+def valid_family_goals() -> dict[str, Formula]:
+    """Valid family members by name, de Bruijn at m <= 5, pigeonhole at
+    n + 1 pigeons in n <= 3 holes."""
+    return {
+        **{f"de_bruijn({m})": de_bruijn(m) for m in (1, 3, 5)},
+        **{f"pigeonhole({n + 1},{n})": pigeonhole(n + 1, n) for n in (1, 2, 3)},
+        **{f"boxed_pigeonhole({n + 1},{n})": pigeonhole(n + 1, n, boxed=True) for n in (1, 2, 3)},
+        **{f"schwichtenberg({n})": schwichtenberg(n) for n in (1, 2, 3, 29)},
+    }
+
+
+def invalid_family_goals() -> dict[str, Formula]:
+    """Invalid family members by name: de Bruijn at even m <= 4, and n
+    pigeons in n <= 3 holes."""
+    return {
+        **{f"de_bruijn({m})": de_bruijn(m) for m in (2, 4)},
+        **{f"pigeonhole({n},{n})": pigeonhole(n, n) for n in (1, 2, 3)},
+    }

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from genlib import formula, proved_proofs, random_sequent
+from genlib import chain_proof, formula, proved_proofs, random_sequent
 from islt.calculus import (
     Derivation,
     RuleId,
@@ -374,3 +374,43 @@ def test_render_dot_is_a_digraph():
     assert dot.startswith("digraph proof {")
     assert dot.rstrip().endswith("}")
     assert "IdP" in dot
+
+
+def _rendered_proofs():
+    """Seeded prover proofs, and naive-search proofs of the same kind of
+    goals, whose rule order is shuffled."""
+    proofs = proved_proofs(random.Random(43), 60)
+    rng = random.Random(47)
+    while len(proofs) < 120:
+        r = prove(random_sequent(rng, 3, max_ant=2, max_weight=12), naive=True, seed=len(proofs))
+        if isinstance(r, Proved):
+            proofs.append(r.proof)
+    return proofs
+
+
+# sha256 of both renderings of the proofs above, recorded while both
+# renderers recursed once per proof level
+RENDER_SHA256 = "3d179be9b60c0a943908f980af54efa7eb269295e6fc79fd0bae0c3d033d457f"
+
+
+def test_renderer_output_is_pinned():
+    h = hashlib.sha256()
+    for d in _rendered_proofs():
+        h.update(render_text(d).encode())
+        h.update(render_dot(d).encode())
+    assert h.hexdigest() == RENDER_SHA256
+
+
+def test_a_proof_taller_than_the_recursion_limit_renders():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 2000)
+    try:
+        d = chain_proof(limit + 100)
+    finally:
+        sys.setrecursionlimit(limit)
+    text = render_text(d).splitlines()
+    assert len(text) == height(d) and text[-1].endswith("[IdP]")
+    assert text[-1].startswith("  " * (height(d) - 1) + "p, ")
+    dot = render_dot(d).splitlines()
+    assert dot[-2:] == ["  n0 -> n1;", "}"]
+    assert len(dot) == 3 + 2 * height(d) - 1

@@ -3,7 +3,7 @@ from collections import Counter
 
 import pytest
 
-from genlib import formula
+from genlib import formula, random_sequent
 from islt.formula import And, Bot, Box, Imp, Or, Var, parse_formula, print_formula, sort_key
 from islt.sequent import (
     Multiset,
@@ -71,6 +71,11 @@ def test_unbox_one_level_strips_exactly_one_box():
     ant = Multiset.from_iterable([Box(Box(p)), Box(q), r])
     u = unbox_one_level(ant)
     assert u == Multiset.from_iterable([Box(p), q, r])
+    rng = random.Random(29)
+    for _ in range(300):
+        a = random_sequent(rng, 3, max_ant=4).ant
+        phi, gamma = partition_boxed(a)
+        assert unbox_one_level(a) == phi.union(gamma), a
 
 
 def test_sequent_parse_print_roundtrip():
