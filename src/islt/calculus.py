@@ -2,7 +2,7 @@
 
 Rules are read backward: expand(s) lists every instance whose conclusion is
 s, one instance per (rule, principal value) pair, from one scan of s
-(_principals) that committed search reads too. The split of an antecedent
+(_principals) that both modes of search read too. The split of an antecedent
 into non-boxed and boxed parts for BoxImpL and SLtR is always the maximal
 one, and check() rejects anything else.
 

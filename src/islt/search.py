@@ -4,25 +4,27 @@ Depth-first search over the rule instances at each sequent; termination is
 structural, because every rule instance strictly reduces theta upwards, so
 any order of instances and premises decides the goal.
 
-The default search memoizes canonical sequents and commits where the
-paper's inversion lemmas allow it. AndL, AndR, OrL, ImpR, AtomImpL, AndImpL
-and OrImpL are invertible (structural.invert): each premise is derivable
-whenever the conclusion is, so when one of their premises fails the
-sequent is unprovable and no other instance is tried. ImpImpL and BoxImpL
-are invertible in their right premise only (imp_imp_lir, box_imp_lir):
-that premise is searched first and its failure is final, while a failed
-left premise moves on to the next instance. Committing only cuts branches
-that cannot succeed, so every verdict and every proof is the one the full
-search finds, but Unprovable.explored and the count a budget abort reports
-are smaller than a full search would give.
+Both modes read one scan of each sequent (calculus._principals) and hand
+each (rule, principal) pair to premises_of, building no other instance.
+Naive mode lists the pairs in RuleId order, which is expand's order,
+shuffles them with a seed, keeps no memo and never commits: it is the
+memo-free, any-strategy search whose termination the paper proves, and it
+must reach the same verdicts. One count of visits is both the budget and
+explored: the default search visits each distinct sequent once, while
+naive search counts every revisit too, so that its budget bounds its work.
 
-It closes a sequent by BotL or IdP, or else reads one scan of it
-(calculus._principals) rule by rule in priority order and hands each
-(rule, principal) pair to premises_of, building no other instance. Naive
-mode turns memoization off, shuffles expand's list with a seed and never
-commits: it is the memo-free, any-strategy search whose termination the
-paper proves, and it must reach the same verdicts. Its recorded proofs
-depend on that list's order, and expand is public, so expand stays.
+The default search closes a sequent by BotL or IdP, or else takes the
+pairs in priority order, memoizes decided sequents and commits where the
+paper's inversion lemmas allow it. AndL, AndR, OrL, ImpR, AtomImpL,
+AndImpL and OrImpL are invertible (structural.invert): each premise is
+derivable whenever the conclusion is, so when one of their premises fails
+the sequent is unprovable and no other instance is tried. ImpImpL and
+BoxImpL are invertible in their right premise only (imp_imp_lir,
+box_imp_lir): that premise is searched first and its failure is final,
+while a failed left premise moves on to the next instance. Committing only
+cuts branches that cannot succeed, so every verdict and every proof is the
+one the full search finds, but Unprovable.explored and the count a budget
+abort reports are smaller than a full search would give.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .formula import Bot, Formula, Var, _Record
 from .measure import shortlex_less, theta
 from .sequent import Multiset, Sequent
 
+expand = expand  # bench/tracer.py wraps this name; nothing here calls it
+
 
 class Proved(_Record):
     """The goal and its proof."""
@@ -43,8 +47,8 @@ class Proved(_Record):
 
 
 class _Explored(_Record):
-    """A result without a proof; explored counts the distinct sequents
-    visited."""
+    """A result without a proof; explored counts the sequents visited, each
+    revisit included in naive mode."""
 
     __slots__ = __match_args__ = ("explored",)
 
@@ -104,22 +108,21 @@ def prove(
     debug: bool = False,
 ) -> SearchResult:
     """Decide s. naive=True disables memoization and commitment and shuffles
-    rule order using seed; budget caps the number of distinct sequents
-    visited."""
-    rng = random.Random(seed) if naive else None
-    # every sequent visited: None on entry, then its result once decided
-    # (not in naive mode). Theta falls strictly along every branch, so a
-    # sequent in progress is never met again below itself.
-    seen: dict[Sequent, Optional[Derivation]] = {}
+    rule order using seed; budget caps the number of sequents visited."""
+    order, rng = (RuleId, random.Random(seed)) if naive else (_ORDER, None)
+    # decided results only, and none in naive mode: theta falls strictly
+    # along every branch, so a sequent in progress is never met below itself
+    memo: dict[Sequent, Optional[Derivation]] = {}
+    visits = 0
 
     def search(seq: Sequent, parent_theta) -> Optional[Derivation]:
-        result = seen.get(seq, _UNSEEN)
-        if result is _UNSEEN:
-            if budget is not None and len(seen) >= budget:
-                raise _Budget()
-            seen[seq] = None
-        elif not naive:
+        nonlocal visits
+        result = memo.get(seq, _UNSEEN)
+        if result is not _UNSEEN:
             return result
+        if budget is not None and visits >= budget:
+            raise _Budget()
+        visits += 1
         own_theta = None
         if debug:
             own_theta = theta(seq)
@@ -128,16 +131,15 @@ def prove(
                 f"theta failed to decrease at {seq}"
             )
         result = None
-        if naive:
-            pairs = [(inst.rule, inst.principal) for inst in expand(seq)]
-            rng.shuffle(pairs)
-        elif seq.ant.entries and seq.ant.entries[0] is _BOT:  # # sorts first
+        if not naive and seq.ant.entries and seq.ant.entries[0] is _BOT:  # # sorts first
             pairs = ((_BOTL, None),)
-        elif type(seq.suc) is Var and seq.suc in seq.ant:
+        elif not naive and type(seq.suc) is Var and seq.suc in seq.ant:
             pairs = ((_IDP, None),)
         else:
             offers = _principals(seq)
-            pairs = [(rule, p) for rule in _ORDER if rule in offers for p in offers[rule]]
+            pairs = [(rule, p) for rule in order if rule in offers for p in offers[rule]]
+            if naive:
+                rng.shuffle(pairs)
         for rule, principal in pairs:
             premises = premises_of(rule, seq, principal)
             plan, final = (range(len(premises)), 0) if naive else _PLAN[rule]
@@ -155,17 +157,17 @@ def prove(
             if refuted:
                 break
         if not naive:
-            seen[seq] = result
+            memo[seq] = result
         return result
 
     try:
         found = search(s, None)
     except _Budget:
-        return BudgetExceeded(len(seen))
+        return BudgetExceeded(visits)
     finally:
-        del search  # it refers to itself: break the cycle, so seen is freed now
+        del search  # it refers to itself: break the cycle, so memo is freed now
     if found is None:
-        return Unprovable(len(seen))
+        return Unprovable(visits)
     return Proved(found)
 
 

@@ -9,7 +9,7 @@ import random
 from functools import reduce
 from typing import Optional
 
-from islt import semantics
+from islt import search, semantics
 from islt.calculus import Derivation, RuleId, height, node
 from islt.formula import And, Bot, Box, Formula, Imp, Or, Var, weight
 from islt.search import Proved, prove
@@ -167,3 +167,18 @@ def invalid_family_goals() -> dict[str, Formula]:
         **{f"de_bruijn({m})": de_bruijn(m) for m in (2, 4)},
         **{f"pigeonhole({n},{n})": pigeonhole(n, n) for n in (1, 2, 3)},
     }
+
+
+def cap_search_work(monkeypatch, calls: int = 100_000) -> None:
+    """Make search raise once it asks premises_of for more than calls
+    premise lists, so that a search its budget fails to bound fails the
+    test at once rather than running on."""
+    real, made = search.premises_of, [0]
+
+    def premises_of(rule, conclusion, principal):
+        made[0] += 1
+        if made[0] > calls:
+            raise RuntimeError(f"search made more than {calls} premise lists")
+        return real(rule, conclusion, principal)
+
+    monkeypatch.setattr(search, "premises_of", premises_of)

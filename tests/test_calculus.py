@@ -276,6 +276,7 @@ def _raised(run, *args):
 
 
 _IDP = node(RuleId.IdP, seq("p => p"), None)
+_IDQ = node(RuleId.IdP, seq("q => q"), None)
 
 
 # (run, message): every rejection of check, its codec and its schemas that
@@ -317,6 +318,11 @@ _IDP = node(RuleId.IdP, seq("p => p"), None)
         (
             lambda: _bad(RuleId.Cut, "p => p", None, _IDP, _IDP, allow_cut=True),
             "at root: Cut right premise must be context plus the cut formula",
+        ),
+        # the right premise fits, but the left one adds q to the context
+        (
+            lambda: _bad(RuleId.Cut, "=> q", None, _IDQ, _IDQ, allow_cut=True),
+            "at root: Cut left premise must keep the conclusion context",
         ),
         (lambda: _raised(loads, '{"rule": "IdP", "premises": []}'), "certificate lacks 'sequent'"),
         (

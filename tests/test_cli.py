@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import islt
+from genlib import cap_search_work, pigeonhole
 from islt import calculus, search
 from islt.cli import main
-from islt.formula import Var
+from islt.formula import Var, print_formula
 from islt.hilbert import AxiomId, ax, dumps as hilbert_dumps
 from islt.search import Proved, prove
 from islt.semantics import model_from_json, forces, validate_model
@@ -86,6 +87,15 @@ def test_prove_budget_abort_is_distinct(capsys):
     assert out == ""
     assert "search budget exhausted after exploring 1 sequents" in err
     assert "unprovable" not in out + err
+
+
+def test_naive_budget_abort(capsys, monkeypatch):
+    cap_search_work(monkeypatch)
+    goal = print_formula(pigeonhole(3, 3))
+    code, out, err = run(capsys, "prove", "--naive", "--seed", "1", "--budget", "2000", goal)
+    assert code == 2
+    assert out == ""
+    assert err == "seed: 1\nerror: search budget exhausted after exploring 2000 sequents with no verdict\n"
 
 
 def test_budget_env(capsys, monkeypatch):
@@ -212,6 +222,18 @@ def test_cutelim_rejects_a_principal_on_cut(capsys, tmp_path):
     code, out, err = run(capsys, "cutelim", str(src), "-o", str(tmp_path / "out.json"))
     assert (code, out) == (2, "")
     assert err == "error: input fails checking: at root: Cut takes no principal formula\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_cutelim_rejects_a_cut_that_changes_the_context(capsys, tmp_path):
+    # => q from two q => q leaves: the right premise fits, the left one does not
+    leaf = calculus.node(calculus.RuleId.IdP, parse_sequent("q => q"), None)
+    d = calculus.node(calculus.RuleId.Cut, parse_sequent("=> q"), None, leaf, leaf)
+    src = tmp_path / "cut.json"
+    src.write_text(calculus.dumps(d), encoding="utf-8")
+    code, out, err = run(capsys, "cutelim", str(src), "-o", str(tmp_path / "out.json"))
+    assert (code, out) == (2, "")
+    assert err == "error: input fails checking: at root: Cut left premise must keep the conclusion context\n"
     assert not (tmp_path / "out.json").exists()
 
 

@@ -5,7 +5,7 @@ from typing import Optional
 
 import pytest
 
-from genlib import random_sequent
+from genlib import cap_search_work, pigeonhole, random_sequent
 from islt import calculus, search
 from islt.calculus import Derivation, check, dumps, expand, uses_cut
 from islt.formula import Bot, parse_formula
@@ -134,6 +134,16 @@ def test_budget_abort():
     assert r.explored == 2
     # a budget that is never hit changes nothing
     assert isinstance(prove(hard, budget=10**6), Unprovable)
+
+
+def test_naive_budget_counts_revisits(monkeypatch):
+    """Naive search keeps no memo, so it meets a sequent as often as its
+    search tree holds it; each visit counts against the budget, which
+    therefore bounds its work. Naive search on 3 pigeons in 3 holes runs
+    for minutes without a budget."""
+    cap_search_work(monkeypatch)
+    goal = Sequent(Multiset(), pigeonhole(3, 3))
+    assert prove(goal, naive=True, seed=1, budget=2000) == BudgetExceeded(2000)
 
 
 def test_search_leaves_no_cyclic_garbage():

@@ -115,6 +115,25 @@ def test_validate_model_rejections(model, fragment):
     assert any(fragment in msg for msg in problems), problems
 
 
+@pytest.mark.parametrize("n, cases", [(2, 16), (3, 4096)])
+def test_frame_conditions_make_r_transitive(n, cases):
+    """validate_model does not check that r is transitive: r inside leq and
+    (leq ; r) inside r imply it, whatever leq is. Every reflexive leq and
+    every irreflexive r on n worlds."""
+    off = [(a, b) for a in range(n) for b in range(n) if a != b]
+    diag = frozenset((w, w) for w in range(n))
+    subsets = [frozenset(c) for k in range(len(off) + 1) for c in combinations(off, k)]
+    assert len(subsets) ** 2 == cases
+    for up in subsets:
+        leq = diag | up
+        for r in subsets:
+            transitive = all((a, d) in r for a, b in r for c, d in r if b == c)
+            if r <= leq and all((a, d) in r for a, b in leq for c, d in r if b == c):
+                assert transitive, (leq, r)
+            if validate_model(KripkeModel(n, leq, r, {})) == []:
+                assert transitive, (leq, r)
+
+
 def test_forcing_hand_cases():
     m = chain2()
     p = Var("p")
