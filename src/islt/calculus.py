@@ -205,7 +205,7 @@ def _principals(s: Sequent) -> dict[RuleId, list[Optional[Formula]]]:
     it in antecedent (sort_key) order, or [None] for a rule that takes
     none: one pass over the antecedent's distinct formulas, in a dict that
     also answers membership."""
-    present, suc = dict.fromkeys(s.ant.entries), s.suc
+    present, suc = dict.fromkeys(s.ant), s.suc
     out: dict[RuleId, list[Optional[Formula]]] = {_BotL: [None]} if Bot() in present else {}
     if type(suc) is Var and suc in present:
         out[_IdP] = [None]

@@ -5,7 +5,8 @@ proof of G => chi. The construction recurses on the pair (weight of the cut
 formula, ordering measure of the conclusion), lexicographically: every
 recursive cut either has a strictly lighter cut formula or the same
 formula with a strictly smaller conclusion measure. With debug enabled
-that descent is asserted at every step and exposed through the log.
+that descent is checked at every step, under python -O too, and exposed
+through the log.
 
 There is one way into the construction. ``eliminate`` checks a derivation
 that may hold Cut nodes through ``calculus.check``, the one statement of
@@ -89,8 +90,8 @@ def _enter(d1: Derivation, d2: Derivation, parent: Optional[Measure], debug: boo
     own = (weight(d1.root.suc), theta(Sequent(d1.root.ant, d2.root.suc)))
     if log is not None:
         log.append((parent, own))
-    if debug and parent is not None:
-        assert _measure_less(own, parent), (
+    if debug and parent is not None and not _measure_less(own, parent):
+        raise AssertionError(
             f"cut measure did not descend: {own} under {parent} "
             f"(cut formula {print_formula(d1.root.suc)})"
         )

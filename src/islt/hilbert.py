@@ -90,10 +90,6 @@ class HilbertNode(_Record):
     __slots__ = __match_args__ = ("context", "conclusion", "rule", "axiom", "subst", "children")
     _DEFAULTS = {"axiom": None, "subst": None, "children": ()}
 
-    def __str__(self) -> str:
-        ctx = ", ".join(sorted(print_formula(f) for f in self.context))
-        return f"{ctx} |- {print_formula(self.conclusion)}"
-
     def __repr__(self) -> str:
         # the context in sort_key order: hash order follows addresses, which vary
         ctx = ", ".join(map(repr, sorted(self.context, key=sort_key)))

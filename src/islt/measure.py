@@ -30,7 +30,7 @@ def weight_histogram(formulas: Iterable[Formula]) -> Theta:
 def theta(s: Sequent) -> Theta:
     """weight_histogram(unbox_one_level(s.ant).add(s.suc)), without building
     and sorting that multiset."""
-    return weight_histogram([f.body if isinstance(f, Box) else f for f in s.ant.entries] + [s.suc])
+    return weight_histogram([f.body if isinstance(f, Box) else f for f in s.ant] + [s.suc])
 
 
 def shortlex_less(a: Theta, b: Theta) -> bool:

@@ -127,11 +127,10 @@ def prove(
         if debug:
             own_theta = theta(seq)
             # strict decrease against the immediate parent rules out loops
-            assert parent_theta is None or shortlex_less(own_theta, parent_theta), (
-                f"theta failed to decrease at {seq}"
-            )
+            if parent_theta is not None and not shortlex_less(own_theta, parent_theta):
+                raise AssertionError(f"theta failed to decrease at {seq}")
         result = None
-        if not naive and seq.ant.entries and seq.ant.entries[0] is _BOT:  # # sorts first
+        if not naive and seq.ant and seq.ant[0] is _BOT:  # # sorts first
             pairs = ((_BOTL, None),)
         elif not naive and type(seq.suc) is Var and seq.suc in seq.ant:
             pairs = ((_IDP, None),)

@@ -225,7 +225,7 @@ class _Batch:
 
     def refuted(self, s: Sequent) -> int:
         """The valuations under which some world refutes s; cached."""
-        key = (s.suc, s.ant.entries)
+        key = (s.suc, s.ant)
         got = self._refuted.get(key)
         if got is None:
             got = 0

@@ -1,11 +1,11 @@
 """Sequents over canonical multisets.
 
-An antecedent is a Multiset: the tuple of its formula occurrences, sorted
-by sort_key with repeats side by side. Structurally equal antecedents are
-therefore equal tuples, so sequents compare and hash equal and exchange is
-a non-operation. Counting, membership, length, iteration, equality and hash
-are the tuple's own operations; add and remove find their place by
-bisection on sort_key.
+An antecedent is a Multiset, a tuple subclass: the tuple of its formula
+occurrences, sorted by sort_key with repeats side by side. Structurally
+equal antecedents are therefore equal tuples, so sequents compare and hash
+equal and exchange is a non-operation. Counting, membership, length,
+iteration, equality and hash are tuple's own C slots, with no forwarding
+layer; add and remove find their place by bisection on sort_key.
 """
 
 from __future__ import annotations
@@ -26,22 +26,24 @@ def _remove(entries: tuple[Formula, ...], f: Formula, n: int) -> tuple[Formula, 
     return entries[:i] + entries[i + n :]
 
 
-class Multiset(_Record):
-    """Multiset of formulas. entries is the tuple of its occurrences sorted
-    by sort_key, repeats side by side; a direct call of the constructor must
-    pass them in that order, which of and from_iterable establish."""
+class Multiset(_Record, tuple):
+    """Multiset of formulas: the tuple of its occurrences sorted by
+    sort_key, repeats side by side, and equal to that tuple. A direct call
+    of the constructor must pass them in that order, which of and
+    from_iterable establish. Slicing and + give plain tuples."""
 
-    __slots__ = __match_args__ = ("entries",)
-    _DEFAULTS = {"entries": ()}
+    __slots__ = ()
+    __match_args__ = ("entries",)
+    # tuple's own, ahead of the base's field-tuple equality and hash
+    __eq__, __hash__ = tuple.__eq__, tuple.__hash__
 
-    # the base's equality and hash, without building a field tuple
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.entries == other.entries
-        return NotImplemented
+    def __new__(cls, entries: Iterable[Formula] = ()) -> "Multiset":
+        return tuple.__new__(cls, entries)
 
-    def __hash__(self) -> int:
-        return hash(self.entries)
+    @property
+    def entries(self) -> tuple[Formula, ...]:
+        """The occurrences as a plain tuple, for the repr and pickling."""
+        return tuple(self)
 
     @staticmethod
     def of(*formulas: Formula) -> "Multiset":
@@ -49,40 +51,27 @@ class Multiset(_Record):
 
     @staticmethod
     def from_iterable(formulas: Iterable[Formula]) -> "Multiset":
-        return Multiset(tuple(sorted(formulas, key=sort_key)))
-
-    def count(self, f: Formula) -> int:
-        return self.entries.count(f)
-
-    def __contains__(self, f: Formula) -> bool:
-        return f in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[Formula]:
-        return iter(self.entries)
+        return Multiset(sorted(formulas, key=sort_key))
 
     def distinct(self) -> Iterator[Formula]:
-        return iter(dict.fromkeys(self.entries))
+        return iter(dict.fromkeys(self))
 
     def add(self, f: Formula) -> "Multiset":
-        entries = self.entries
-        i = bisect_left(entries, f.key, key=sort_key)
-        return Multiset(entries[:i] + (f,) + entries[i:])
+        i = bisect_left(self, f.key, key=sort_key)
+        return Multiset(self[:i] + (f,) + self[i:])
 
     def remove(self, f: Formula) -> "Multiset":
         """Drop one occurrence; absence is an error."""
-        return Multiset(_remove(self.entries, f, 1))
+        return Multiset(_remove(self, f, 1))
 
     def remove_all(self, other: "Multiset") -> "Multiset":
-        entries = self.entries
+        entries = self
         for f in other.distinct():
             entries = _remove(entries, f, other.count(f))
         return Multiset(entries)
 
     def union(self, other: "Multiset") -> "Multiset":
-        return Multiset(tuple(sorted(self.entries + other.entries, key=sort_key)))
+        return Multiset(sorted(self + other, key=sort_key))
 
 
 def partition_boxed(a: Multiset) -> tuple[Multiset, Multiset]:
@@ -90,8 +79,8 @@ def partition_boxed(a: Multiset) -> tuple[Multiset, Multiset]:
     gamma the bodies of the boxed ones, one box level only. Boxes sort by
     their bodies, so gamma keeps the order of a."""
     return (
-        Multiset(tuple(f for f in a.entries if not isinstance(f, Box))),
-        Multiset(tuple(f.body for f in a.entries if isinstance(f, Box))),
+        Multiset(f for f in a if not isinstance(f, Box)),
+        Multiset(f.body for f in a if isinstance(f, Box)),
     )
 
 
@@ -102,7 +91,7 @@ def boxed_occurrences(a: Multiset) -> list[Formula]:
 
 def unbox_one_level(a: Multiset) -> Multiset:
     """Strip one box from every boxed occurrence, keep the rest."""
-    return Multiset.from_iterable(f.body if isinstance(f, Box) else f for f in a.entries)
+    return Multiset.from_iterable(f.body if isinstance(f, Box) else f for f in a)
 
 
 class Sequent(_Record):

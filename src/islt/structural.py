@@ -69,12 +69,12 @@ def _edit(p: Derivation, drop: Multiset, put: Multiset, on_principal: Optional[C
     Where a left rule's principal is taken out, on_principal(node, put)
     rebuilds the node. Height preserving whenever on_principal is. A loop,
     not a comprehension, so that each proof level costs one Python frame."""
-    if not (drop.entries or put.entries):
+    if not (drop or put):
         return p
     if p.rule in LEFT_RULES and p.principal in drop:
         return on_principal(p, put)
-    ant = p.root.ant.remove_all(drop) if drop.entries else p.root.ant
-    target = Sequent(ant.union(put) if put.entries else ant, p.root.suc)
+    ant = p.root.ant.remove_all(drop) if drop else p.root.ant
+    target = Sequent(ant.union(put) if put else ant, p.root.suc)
     children = []
     for i, c in enumerate(p.children):
         if _strips_box(p.rule, i):

@@ -127,7 +127,8 @@ SIGNATURES = {
 
 @pytest.mark.parametrize("cls", SIGNATURES, ids=lambda cls: cls.__name__)
 def test_written_constructor_keeps_the_hand_written_signature(cls):
-    assert cls.__init__.__code__.co_filename == "<string>"
+    if cls is not Multiset:  # a tuple, built by its own __new__ (below)
+        assert cls.__init__.__code__.co_filename == "<string>"
     params = inspect.signature(cls).parameters.values()
     assert [(p.name, p.kind, p.default) for p in params] == [
         (name, inspect.Parameter.POSITIONAL_OR_KEYWORD, default) for name, default in SIGNATURES[cls]
@@ -156,6 +157,7 @@ def test_sequent_kripke_model_and_formulas_keep_their_own_constructors():
     assert Var("p") is p
     for cls in (Sequent, KripkeModel):
         assert cls.__init__.__code__.co_filename == inspect.getfile(cls)
+    assert Multiset.__new__.__code__.co_filename == inspect.getfile(Multiset)
     # the cached hash is not a field, and the valuation is copied
     assert Sequent(ant=_ant(), suc=p)._hash is None
     valuation = {"p": frozenset({0})}

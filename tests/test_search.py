@@ -1,11 +1,16 @@
 import gc
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from typing import Optional
 
 import pytest
 
 from genlib import cap_search_work, pigeonhole, random_sequent
+import islt
 from islt import calculus, search
 from islt.calculus import Derivation, check, dumps, expand, uses_cut
 from islt.formula import Bot, parse_formula
@@ -125,6 +130,45 @@ def test_debug_mode_asserts_descent(corpus):
     rng = random.Random(59)
     for s in [random_sequent(rng, 3) for _ in range(100)] + corpus:
         prove(s, debug=True)  # must not trip the internal descent assertion
+
+
+# Both debug checks, with the measure comparison patched to always fail,
+# must raise even when python -O strips assert statements.
+_DEBUG_UNDER_O = r"""
+from islt import cut, search
+from islt.cut import CutInstance, cut_admissible
+from islt.search import prove
+from islt.sequent import parse_sequent
+
+if __debug__:
+    raise SystemExit("not running under -O")
+left = prove(parse_sequent("p => p /\\ p")).proof
+right = prove(parse_sequent("p, p /\\ p => p")).proof
+search.shortlex_less = cut._measure_less = lambda a, b: False
+for name, call in [
+    ("prove", lambda: prove(parse_sequent("p, q => p /\\ q"), debug=True)),
+    ("cut_admissible", lambda: cut_admissible(CutInstance(left, right), debug=True)),
+]:
+    try:
+        call()
+    except AssertionError as e:
+        print(name, "raised:", e)
+    else:
+        print(name, "returned")
+"""
+
+
+def test_debug_checks_survive_python_O():
+    src = str(Path(islt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    got = subprocess.run(
+        [sys.executable, "-O", "-c", _DEBUG_UNDER_O], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert got.returncode == 0, got.stderr
+    lines = got.stdout.splitlines()
+    assert len(lines) == 2
+    assert lines[0].startswith("prove raised: theta failed to decrease at ")
+    assert lines[1].startswith("cut_admissible raised: cut measure did not descend: ")
 
 
 def test_budget_abort():

@@ -31,6 +31,17 @@ def test_multiset_counts_and_iteration():
     assert listed.count(q) == 2
 
 
+def test_multiset_is_its_sorted_tuple():
+    """Counting, membership, length, iteration, equality and hash are the
+    tuple's own C slots, with no forwarding layer."""
+    assert issubclass(Multiset, tuple)
+    for name in ("__contains__", "__len__", "__iter__", "count", "__eq__", "__hash__"):
+        assert getattr(Multiset, name) is getattr(tuple, name), name
+    m = Multiset.of(q, p)
+    assert m == (p, q) and hash(m) == hash((p, q))
+    assert m.entries == (p, q) and type(m.entries) is tuple
+
+
 def test_multiset_add_remove_union():
     m = Multiset.of(p)
     m2 = m.add(q).add(q)

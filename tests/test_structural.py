@@ -151,6 +151,14 @@ def test_invert_rejects():
         invert(RuleId.AndL, d, parse_formula("p /\\ q"))
     with pytest.raises(TransformError):
         invert(RuleId.AndL, proved("p /\\ q => p"), parse_formula("q /\\ p"))
+    with pytest.raises(TransformError, match="ImpR needs an implication succedent"):
+        invert(RuleId.ImpR, d)
+    # a root Cut on p /\ p, which the checker accepts, blocks AndR inversion
+    left, right = proved("p => p /\\ p"), proved("p, p /\\ p => p /\\ p")
+    cut = node(RuleId.Cut, left.root, None, left, right)
+    assert check(cut, allow_cut=True) is None
+    with pytest.raises(TransformError, match="cannot commute past Cut here"):
+        invert(RuleId.AndR, cut)
 
 
 def _proofs_with_antecedent(rng, count, make_principal, depth=2):
@@ -202,6 +210,8 @@ def test_lir_rejects_wrong_shape():
         box_imp_lir(d, parse_formula("p -> q"))
     with pytest.raises(TransformError):
         imp_imp_lir(d, parse_formula("[]p -> q"))
+    with pytest.raises(TransformError, match="needs an implication-headed implication"):
+        imp_imp_lil(d, parse_formula("[]p -> q"))
     d2 = proved("[]p -> q, q -> p => p")
     with pytest.raises(TransformError):
         box_imp_lir(d2, parse_formula("[]p -> r"))
