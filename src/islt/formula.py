@@ -49,12 +49,11 @@ class _Record:
     order through its descriptor's __set__, past the immutability guard.
     Both are compiled from source, as dataclasses and namedtuple do, so they
     run as fast as written by hand; a loop over the fields costs about 1.5
-    times as much. Four kinds of class keep their own constructor: Sequent,
-    whose cached hash slot is not a field; KripkeModel, whose fields live in
-    its instance dict, which enumeration fills without calling __init__;
-    Multiset, a tuple built by its __new__ that takes tuple's equality and
-    hash and so equals its tuple of occurrences; and the formulas, which the
-    hash-consing __new__ builds."""
+    times as much. Three kinds of class keep their own constructor:
+    KripkeModel, whose fields live in its instance dict, which enumeration
+    fills without calling __init__; Multiset, a tuple built by its __new__
+    that takes tuple's equality and hash and so equals its tuple of
+    occurrences; and the formulas, which the hash-consing __new__ builds."""
 
     __slots__ = ()
 

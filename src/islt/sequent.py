@@ -20,7 +20,7 @@ from .formula import variables as formula_variables
 def _remove(entries: tuple[Formula, ...], f: Formula, n: int) -> tuple[Formula, ...]:
     """entries without n occurrences of f; removing more than present is an
     error."""
-    i = bisect_left(entries, f.key, key=sort_key)
+    i = bisect_left(entries[:], f.key, key=sort_key)
     if entries[i : i + n].count(f) < n:
         raise KeyError(f"removing {n} of {print_formula(f)}, only {entries.count(f)} present")
     return entries[:i] + entries[i + n :]
@@ -57,7 +57,7 @@ class Multiset(_Record, tuple):
         return iter(dict.fromkeys(self))
 
     def add(self, f: Formula) -> "Multiset":
-        i = bisect_left(self, f.key, key=sort_key)
+        i = bisect_left(self[:], f.key, key=sort_key)
         return Multiset(self[:i] + (f,) + self[i:])
 
     def remove(self, f: Formula) -> "Multiset":
@@ -95,35 +95,12 @@ def unbox_one_level(a: Multiset) -> Multiset:
 
 
 class Sequent(_Record):
-    """ant => suc. The hash is computed on first use and kept, since search
-    hashes each sequent it visits several times."""
+    """ant => suc."""
 
-    __slots__ = ("ant", "suc", "_hash")
-    __match_args__ = ("ant", "suc")
-
-    def __init__(self, ant: Multiset, suc: Formula) -> None:
-        _set_ant(self, ant)
-        _set_suc(self, suc)
-        _set_hash(self, None)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.suc is other.suc and self.ant == other.ant
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            h = hash((self.ant, self.suc))
-            _set_hash(self, h)
-        return h
+    __slots__ = __match_args__ = ("ant", "suc")
 
     def __str__(self) -> str:
         return print_sequent(self)
-
-
-# slot setters that bypass the immutability guard, for construction only
-_set_ant, _set_suc, _set_hash = Sequent.ant.__set__, Sequent.suc.__set__, Sequent._hash.__set__
 
 
 def sequent(ant: Iterable[Formula], suc: Formula) -> Sequent:
