@@ -13,6 +13,10 @@ premises_of gives the premises of an instance, replacements what each
 premise of a context-keeping left rule puts in the principal's place. The
 transforms and cut elimination read their premise shapes from these two
 rather than restating them.
+
+Certificates are JSON. dumps writes json.dumps(..., indent=2)'s bytes
+itself, since the stdlib encodes indented output in pure Python, and loads
+parses each distinct formula text once per call.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import json
 from enum import Enum
 from functools import reduce
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterator, Optional
 
 from .formula import And, Bot, Box, Formula, Imp, Or, Var, _Record, parse_formula, print_formula, sort_key
@@ -283,10 +288,6 @@ def uses_cut(d: Derivation) -> bool:
     return any(n.rule is RuleId.Cut for n, _ in walk(d))
 
 
-def _sequent_to_json(s: Sequent) -> dict:
-    return {"ant": [print_formula(f) for f in s.ant], "suc": print_formula(s.suc)}
-
-
 _JSON_KIND = {dict: "an object", list: "an array", str: "a string"}
 
 
@@ -303,36 +304,83 @@ def _field(obj: dict, key: str, kind: type, required: bool = True):
     return value
 
 
-def _sequent_from_json(obj: dict) -> Sequent:
-    texts = _field(obj, "ant", list)
-    if not all(isinstance(t, str) for t in texts):
-        raise ValueError("certificate 'ant' must hold only strings")
-    ant = Multiset.from_iterable(parse_formula(t) for t in texts)
-    return Sequent(ant, parse_formula(_field(obj, "suc", str)))
-
-
 def derivation_to_json(d: Derivation) -> dict:
-    out = {"sequent": _sequent_to_json(d.root), "rule": d.rule.value}
-    if d.principal is not None:
-        out["principal"] = print_formula(d.principal)
-    out["premises"] = [derivation_to_json(c) for c in d.children]
-    return out
+    """The certificate object that dumps writes."""
+    return json.loads(dumps(d))
 
 
 def derivation_from_json(obj: dict) -> Derivation:
-    """Inverse of derivation_to_json; ValueError on a wrong shape."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"certificate node must be an object, got {type(obj).__name__}")
-    rule = RuleId(_field(obj, "rule", str))
-    principal = _field(obj, "principal", str, required=False)
-    premises = _field(obj, "premises", list, required=False) or []
-    children = tuple(derivation_from_json(c) for c in premises)
-    sequent = _sequent_from_json(_field(obj, "sequent", dict))
-    return Derivation(sequent, rule, None if principal is None else parse_formula(principal), children)
+    """Inverse of derivation_to_json; ValueError on the first wrong shape in
+    reading order: a node's fields, then its premises, then its sequent.
+    Each distinct formula text is parsed once."""
+    parsed: dict[str, Formula] = {}
+
+    def parse(text: str) -> Formula:
+        f = parsed.get(text)
+        if f is None:
+            f = parsed[text] = parse_formula(text)
+        return f
+
+    def read(obj: dict) -> Derivation:
+        if not isinstance(obj, dict):
+            raise ValueError(f"certificate node must be an object, got {type(obj).__name__}")
+        rule = RuleId(_field(obj, "rule", str))
+        principal = _field(obj, "principal", str, required=False)
+        children = tuple(map(read, _field(obj, "premises", list, required=False) or ()))
+        sequent = _field(obj, "sequent", dict)
+        texts = _field(sequent, "ant", list)
+        if not all(isinstance(t, str) for t in texts):
+            raise ValueError("certificate 'ant' must hold only strings")
+        ant = Multiset.from_iterable(map(parse, texts))
+        root = Sequent(ant, parse(_field(sequent, "suc", str)))
+        return Derivation(root, rule, None if principal is None else parse(principal), children)
+
+    return read(obj)
 
 
 def dumps(d: Derivation) -> str:
-    return json.dumps(derivation_to_json(d), indent=2)
+    """The certificate of d: at every node the object {"sequent": {"ant":
+    [texts], "suc": text}, "rule": name, "principal": text (if any),
+    "premises": [nodes]}, byte for byte as json.dumps(..., indent=2)
+    writes it, from an explicit stack and with each distinct formula
+    quoted once. A node opened at indent i0 (a newline and its spaces)
+    writes its fields at i1, its sequent's fields and its premises at i2
+    and its antecedent's texts at i3, two spaces deeper each."""
+    out: list[str] = []
+    quoted: dict[Formula, str] = {}
+    stack: list = [(d, "\n")]
+    while stack:
+        top = stack.pop()
+        if type(top) is str:
+            out.append(top)
+            continue
+        n, i0 = top
+        i1 = i0 + "  "
+        i2 = i1 + "  "
+        i3 = i2 + "  "
+        fs = [*n.root.ant, n.root.suc]
+        if n.principal is not None:
+            fs.append(n.principal)
+        texts = []
+        for f in fs:
+            t = quoted.get(f)
+            if t is None:
+                t = quoted[f] = _quote(print_formula(f))
+            texts.append(t)
+        k = len(n.root.ant)
+        ant = f"[{i3}{(',' + i3).join(texts[:k])}{i2}]" if k else "[]"
+        out.append(f'{{{i1}"sequent": {{{i2}"ant": {ant},{i2}"suc": {texts[k]}{i1}}},{i1}"rule": "{n.rule.value}",')
+        if n.principal is not None:
+            out.append(f'{i1}"principal": {texts[-1]},')
+        if not n.children:
+            out.append(f'{i1}"premises": []{i0}}}')
+            continue
+        out.append(f'{i1}"premises": [{i2}')
+        stack.append(f"{i1}]{i0}}}")
+        for c in reversed(n.children[1:]):
+            stack += (c, i2), f",{i2}"
+        stack.append((n.children[0], i2))
+    return "".join(out)
 
 
 def loads(text: str) -> Derivation:

@@ -31,10 +31,12 @@ from .calculus import (
     LEFT_RULES,
     RIGHT_INVERTIBLE,
     Derivation,
-    RuleId,
     check,
     node,
 )
+# the rule ids as module globals, which cost about a tenth of RuleId.X to read
+from .calculus import _AndImpL, _AndL, _AndR, _AtomImpL, _BotL, _BoxImpL, _Cut, _IdP, _ImpImpL, _ImpR, _OrImpL, _OrL
+from .calculus import _OrR1, _OrR2, _SLtR
 from .formula import Imp, _Record, print_formula, weight
 from .measure import Theta, shortlex_less, theta
 from .sequent import Sequent, boxed_occurrences
@@ -79,7 +81,7 @@ class CutInstance(_Record):
 def cut_admissible(instance: CutInstance, debug: bool = False, log: Optional[list] = None) -> Derivation:
     """A cut-free proof of the instance's conclusion: eliminate on the Cut
     node the instance makes, so its premises may hold cuts too."""
-    return eliminate(node(RuleId.Cut, instance.conclusion, None, instance.left, instance.right), debug, log)
+    return eliminate(node(_Cut, instance.conclusion, None, instance.left, instance.right), debug, log)
 
 
 def _enter(d1: Derivation, d2: Derivation, parent: Optional[Measure], debug: bool, log) -> Optional[Measure]:
@@ -116,50 +118,50 @@ def _cut(
     r1 = d1.rule
 
     # the cut formula never became principal on the left
-    if r1 is RuleId.IdP:
+    if r1 is _IdP:
         return contract(d2, phi)
-    if r1 is RuleId.BotL:
-        return node(RuleId.BotL, conclusion, None)
+    if r1 is _BotL:
+        return node(_BotL, conclusion, None)
     if r1 in LEFT_RULES:
         pi = d1.principal
         if r1 in RIGHT_INVERTIBLE:
-            lir = imp_imp_lir if r1 is RuleId.ImpImpL else box_imp_lir
+            lir = imp_imp_lir if r1 is _ImpImpL else box_imp_lir
             return node(r1, conclusion, pi, d1.children[0], go(d1.children[1], lir(d2, pi)))
         mirrored = invert(r1, d2, pi)
         return node(r1, conclusion, pi, *map(go, d1.children, mirrored))
 
     # principal on the left: the cut formula was just introduced
-    if r1 is RuleId.AndR:
+    if r1 is _AndR:
         b = phi.right
-        opened = invert(RuleId.AndL, d2, phi)[0]
+        opened = invert(_AndL, d2, phi)[0]
         after_a = go(weaken(d1.children[0], b), opened)
         return go(d1.children[1], after_a)
-    if r1 in (RuleId.OrR1, RuleId.OrR2):
-        branches = invert(RuleId.OrL, d2, phi)
-        side = branches[0] if r1 is RuleId.OrR1 else branches[1]
+    if r1 in (_OrR1, _OrR2):
+        branches = invert(_OrL, d2, phi)
+        side = branches[0] if r1 is _OrR1 else branches[1]
         return go(d1.children[0], side)
     r2 = d2.rule
-    if r1 is RuleId.ImpR and r2 in LEFT_RULES and d2.principal == phi:
+    if r1 is _ImpR and r2 in LEFT_RULES and d2.principal == phi:
         return _cut_imp_r(d1, d2, go)
-    if r1 is RuleId.SLtR and r2 in (RuleId.BoxImpL, RuleId.SLtR):
+    if r1 is _SLtR and r2 in (_BoxImpL, _SLtR):
         return _cut_sltr(d1, d2, go)
-    if r1 not in (RuleId.ImpR, RuleId.SLtR):
+    if r1 not in (_ImpR, _SLtR):
         raise CutError(f"unexpected left rule {r1.value}")
 
     # the right premise's last rule does not touch the cut formula: push the
     # cut into its premises and replay the rule (here, not in a helper, so
     # that this descent too costs one frame a level)
-    if r2 in (RuleId.IdP, RuleId.BotL, RuleId.AndR, RuleId.OrR1, RuleId.OrR2):
+    if r2 in (_IdP, _BotL, _AndR, _OrR1, _OrR2):
         # the premises keep the antecedent, so the cut moves into each one
         return node(r2, conclusion, None, *map(go, repeat(d1), d2.children))
-    if r2 is RuleId.ImpR:
+    if r2 is _ImpR:
         sub = go(weaken(d1, goal.left), d2.children[0])
-        return node(RuleId.ImpR, conclusion, None, sub)
+        return node(_ImpR, conclusion, None, sub)
     if r2 in INVERTIBLE_LEFT:
         pi = d2.principal
         mirrored = invert(r2, d1, pi)
         return node(r2, conclusion, pi, *map(go, mirrored, d2.children))
-    if r2 is RuleId.ImpImpL:
+    if r2 is _ImpImpL:
         pi = d2.principal
         y, z = pi.left.right, pi.right
         yz = Imp(y, z)
@@ -167,35 +169,35 @@ def _cut(
         rest = ctx.remove(pi)
         nb = go(imp_imp_lir(d1, pi), right2)
         spread = contract(imp_imp_lil(d1, pi), yz)
-        opened = invert(RuleId.ImpR, left2)[0]
+        opened = invert(_ImpR, left2)[0]
         inner = go(spread, opened)
-        na = node(RuleId.ImpR, Sequent(rest.add(yz), pi.left), None, inner)
-        return node(RuleId.ImpImpL, conclusion, pi, na, nb)
-    if r2 is RuleId.BoxImpL:
+        na = node(_ImpR, Sequent(rest.add(yz), pi.left), None, inner)
+        return node(_ImpImpL, conclusion, pi, na, nb)
+    if r2 is _BoxImpL:
         # reached only for a non-boxed cut formula
         assert isinstance(phi, Imp), print_formula(phi)
         pi = d2.principal
         left2, right2 = d2.children
         rest = ctx.remove(pi)
         nb = go(box_imp_lir(d1, pi), right2)
-        c0 = invert(RuleId.ImpR, d1)[0]
+        c0 = invert(_ImpR, d1)[0]
         c1 = weaken(c0, pi.left)
         c2 = box_imp_lir(c1, pi)
         c3 = unbox_left(c2, boxed_occurrences(rest))
         rebuilt = node(
-            RuleId.ImpR,
+            _ImpR,
             Sequent(left2.root.ant.remove(phi), phi),
             None,
             c3,
         )
         na = go(rebuilt, left2)
-        return node(RuleId.BoxImpL, conclusion, pi, na, nb)
-    if r2 is RuleId.SLtR:
+        return node(_BoxImpL, conclusion, pi, na, nb)
+    if r2 is _SLtR:
         assert isinstance(phi, Imp), print_formula(phi)
         p2 = d2.children[0]
         stripped = unbox_left(d1, boxed_occurrences(ctx))
         sub = go(weaken(stripped, goal), p2)
-        return node(RuleId.SLtR, conclusion, None, sub)
+        return node(_SLtR, conclusion, None, sub)
     raise CutError(f"unexpected right rule {r2.value}")
 
 
@@ -209,44 +211,44 @@ def _cut_imp_r(d1: Derivation, d2: Derivation, go) -> Derivation:
     r2 = d2.rule
 
     # reduce through phi's antecedent rule, chosen by the shape of p0
-    if r2 is RuleId.AtomImpL:
+    if r2 is _AtomImpL:
         stripped = contract(d1p, p0)
         return go(stripped, d2.children[0])
-    if r2 is RuleId.AndImpL:
+    if r2 is _AndImpL:
         a, b = p0.left, p0.right
-        opened = invert(RuleId.AndL, d1p, p0)[0]
-        s1 = node(RuleId.ImpR, Sequent(ctx.add(a), Imp(b, p1)), None, opened)
-        s2 = node(RuleId.ImpR, Sequent(ctx, Imp(a, Imp(b, p1))), None, s1)
+        opened = invert(_AndL, d1p, p0)[0]
+        s1 = node(_ImpR, Sequent(ctx.add(a), Imp(b, p1)), None, opened)
+        s2 = node(_ImpR, Sequent(ctx, Imp(a, Imp(b, p1))), None, s1)
         return go(s2, d2.children[0])
-    if r2 is RuleId.OrImpL:
+    if r2 is _OrImpL:
         a, b = p0.left, p0.right
-        ia, ib = invert(RuleId.OrL, d1p, p0)
-        sa = node(RuleId.ImpR, Sequent(ctx, Imp(a, p1)), None, ia)
-        sb = node(RuleId.ImpR, Sequent(ctx, Imp(b, p1)), None, ib)
+        ia, ib = invert(_OrL, d1p, p0)
+        sa = node(_ImpR, Sequent(ctx, Imp(a, p1)), None, ia)
+        sb = node(_ImpR, Sequent(ctx, Imp(b, p1)), None, ib)
         first = go(weaken(sa, Imp(b, p1)), d2.children[0])
         return go(sb, first)
-    if r2 is RuleId.ImpImpL:
+    if r2 is _ImpImpL:
         a, b = p0.left, p0.right
         c = p1
         bc = Imp(b, c)
         left2, right2 = d2.children
         cut_ab = go(left2, weaken(d1p, bc))
         inner = node(
-            RuleId.ImpR,
+            _ImpR,
             Sequent(ctx.add(b), p0),
             None,
             id_general(b, ctx.add(a)),
         )
         cut_b = go(inner, weaken(d1p, b))
-        curried = node(RuleId.ImpR, Sequent(ctx, bc), None, cut_b)
+        curried = node(_ImpR, Sequent(ctx, bc), None, cut_b)
         cut_c = go(curried, cut_ab)
         return go(cut_c, right2)
-    if r2 is RuleId.BoxImpL:
+    if r2 is _BoxImpL:
         # phi = []x -> y; rebuild []x under the strong rule, then cut twice
         left2, right2 = d2.children
         s1 = unbox_left(d1p, boxed_occurrences(ctx))
         s2 = go(s1, left2)
-        s3 = node(RuleId.SLtR, Sequent(ctx, p0), None, s2)
+        s3 = node(_SLtR, Sequent(ctx, p0), None, s2)
         s4 = go(s3, d1p)
         return go(s4, right2)
     raise CutError(f"implication cut formula principal under {r2.value}")
@@ -262,7 +264,7 @@ def _cut_sltr(d1: Derivation, d2: Derivation, go) -> Derivation:
     loop = d1.children[0]
     r2 = d2.rule
 
-    if r2 is RuleId.BoxImpL:
+    if r2 is _BoxImpL:
         pi = d2.principal
         left2, right2 = d2.children
         rest = ctx.remove(pi)
@@ -279,7 +281,7 @@ def _cut_sltr(d1: Derivation, d2: Derivation, go) -> Derivation:
         # right branch
         x9 = box_imp_lir(d1, pi)
         xb = go(x9, right2)
-        return node(RuleId.BoxImpL, conclusion, pi, pi0, xb)
+        return node(_BoxImpL, conclusion, pi, pi0, xb)
 
     # SLtR on both sides
     p2 = d2.children[0]
@@ -289,7 +291,7 @@ def _cut_sltr(d1: Derivation, d2: Derivation, go) -> Derivation:
     c = weaken(p2, phi)
     d = go(b, c)
     e = go(a, d)
-    return node(RuleId.SLtR, conclusion, None, e)
+    return node(_SLtR, conclusion, None, e)
 
 
 def eliminate(d: Derivation, debug: bool = False, log: Optional[list] = None) -> Derivation:
@@ -302,7 +304,7 @@ def eliminate(d: Derivation, debug: bool = False, log: Optional[list] = None) ->
 
     def rewrite(n: Derivation) -> Derivation:
         children = tuple(map(rewrite, n.children))
-        if n.rule is RuleId.Cut:
+        if n.rule is _Cut:
             return _cut(None, debug, log, *children)
         if all(map(operator.is_, children, n.children)):
             return n

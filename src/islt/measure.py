@@ -8,7 +8,6 @@ search and cut recursions lean on.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterable
 
 from .formula import Box, Formula, weight
@@ -20,11 +19,14 @@ Theta = list[int]
 def weight_histogram(formulas: Iterable[Formula]) -> Theta:
     """List of length max-weight; position k from the right (1-indexed)
     counts the occurrences of weight k. No formulas give []."""
-    counts = Counter(map(weight, formulas))
-    if not counts:
+    weights = list(map(weight, formulas))
+    if not weights:
         return []
-    top = max(counts)
-    return [counts[top - i] for i in range(top)]
+    top = max(weights)
+    out = [0] * top
+    for w in weights:
+        out[top - w] += 1
+    return out
 
 
 def theta(s: Sequent) -> Theta:

@@ -21,7 +21,6 @@ precise exists to designate.
 
 from __future__ import annotations
 
-from collections import Counter
 from operator import itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -39,7 +38,7 @@ from .calculus import (
     replacements,
 )
 from .formula import And, Bot, Box, Formula, Imp, Or, Var, print_formula
-from .sequent import Multiset, Sequent, unbox_one_level
+from .sequent import Multiset, Sequent, _remove, unbox_one_level
 
 
 class TransformError(ValueError):
@@ -59,8 +58,10 @@ def _cancel(drop: Multiset, put: Multiset) -> tuple[Multiset, Multiset]:
     """drop and put without the occurrences both hold. An edit that took
     such an occurrence out and put it back would carry the removal up to
     where a rule may have used that occurrence up already."""
-    d, p = Counter(drop), Counter(put)
-    return Multiset.from_iterable((d - p).elements()), Multiset.from_iterable((p - d).elements())
+    for f in set(drop).intersection(put):
+        k = min(drop.count(f), put.count(f))
+        drop, put = Multiset(_remove(drop, f, k)), Multiset(_remove(put, f, k))
+    return drop, put
 
 
 def _edit(p: Derivation, drop: Multiset, put: Multiset, on_principal: Optional[Callable] = None) -> Derivation:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from genlib import chain_proof, formula, proved_proofs, random_sequent
+from genlib import chain_proof, formula, inject_cut, proved_proofs, random_sequent
 from islt.calculus import (
     Derivation,
     RuleId,
@@ -23,9 +23,10 @@ from islt.calculus import (
     render_text,
     uses_cut,
 )
-from islt.formula import And, Bot, Box, Imp, Or, Var, parse_formula
+from islt.formula import And, Bot, Box, Imp, Or, Var, parse_formula, print_formula
 from islt.search import Proved, prove
 from islt.sequent import Multiset, Sequent, parse_sequent, sequent
+from islt.structural import id_general
 
 p, q, r = Var("p"), Var("q"), Var("r")
 
@@ -359,6 +360,54 @@ def test_json_is_valid_and_stable():
     assert blob["rule"] == "ImpR"
     assert blob["sequent"]["suc"] == "([]p -> p) -> p"
     assert dumps(d) == dumps(loads(dumps(d)))
+
+
+def _dict_certificate(d):
+    """The certificate object as a recursive dict builder writes it."""
+    out = {"sequent": {"ant": [print_formula(f) for f in d.root.ant], "suc": print_formula(d.root.suc)}}
+    out["rule"] = d.rule.value
+    if d.principal is not None:
+        out["principal"] = print_formula(d.principal)
+    out["premises"] = [_dict_certificate(c) for c in d.children]
+    return out
+
+
+def test_dumps_is_stdlib_json_indent_2():
+    rng = random.Random(41)
+    proofs = proved_proofs(rng, 40)
+    while len(proofs) < 60:
+        r = prove(random_sequent(rng, 3, max_ant=2), naive=True, seed=rng.randrange(100))
+        if isinstance(r, Proved):
+            proofs.append(r.proof)
+    proofs += [inject_cut(rng, inject_cut(rng, d)) for d in proofs[:20]]
+    # a name the printer passes through: a quote, a backslash, non-ASCII
+    proofs.append(id_general(Imp(Var('a"\\ä'), Box(Var("q")))))
+    assert any(d.rule is RuleId.Cut or uses_cut(d) for d in proofs)
+    for d in proofs:
+        assert dumps(d) == json.dumps(_dict_certificate(d), indent=2)
+
+
+def _cert(rule, ant, *premises):
+    """A certificate node for ant => p."""
+    return {"sequent": {"ant": ant, "suc": "p"}, "rule": rule, "premises": list(premises)}
+
+
+def test_loads_reports_faults_in_reading_order():
+    """A node's fields, then its premises left to right and depth first,
+    then its sequent: the first fault in that order is the one reported,
+    however often a bad formula text recurs."""
+    bad, other = "p -> (q", "p q"
+    parse_error = str(_raised(parse_formula, bad))
+    assert parse_error != str(_raised(parse_formula, other))
+    cases = [
+        (_cert("Nope", ["p"], _cert("IdP", [bad])), "'Nope' is not a valid RuleId"),
+        (_cert("AndR", [other], _cert("IdP", [bad])), parse_error),
+        # the bad text recurs at the root; the nodes between differ in fault
+        (_cert("AndR", [bad], _cert("IdP", [bad]), _cert("Nope", ["p"])), parse_error),
+        (_cert("AndR", [bad], _cert("IdP", [1]), _cert("IdP", [bad])), "certificate 'ant' must hold only strings"),
+    ]
+    for obj, message in cases:
+        assert str(_raised(loads, json.dumps(obj))) == message
 
 
 def test_height():

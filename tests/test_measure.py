@@ -1,6 +1,7 @@
 import random
+from collections import Counter
 
-from genlib import random_sequent
+from genlib import formula, random_sequent
 from islt.calculus import expand
 from islt.formula import Box, weight
 from islt.measure import shortlex_less, theta, weight_histogram
@@ -80,3 +81,13 @@ def test_theta_against_the_multiset_definition():
         assert theta(s) == weight_histogram(unbox_one_level(s.ant).add(s.suc)), s
         boxed += sum(isinstance(f, Box) for f in s.ant)
     assert boxed > 1000
+
+
+def test_weight_histogram_against_a_counter_oracle():
+    rng = random.Random(67)
+    assert weight_histogram([]) == []
+    for _ in range(1500):
+        fs = [formula(rng, rng.randrange(4)) for _ in range(rng.randrange(1, 9))]
+        counts = Counter(map(weight, fs))
+        top = max(counts)
+        assert weight_histogram(fs) == [counts[top - i] for i in range(top)], fs

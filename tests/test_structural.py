@@ -1,6 +1,7 @@
 """Admissible transforms: height bounds, checker acceptance, root shapes."""
 
 import random
+from collections import Counter
 
 import pytest
 from genlib import chain_proof, formula, proved_proofs, random_sequent
@@ -11,6 +12,7 @@ from islt.search import Proved, prove
 from islt.sequent import Multiset, Sequent, parse_sequent
 from islt.structural import (
     TransformError,
+    _cancel,
     box_imp_lir,
     contract,
     id_general,
@@ -328,3 +330,15 @@ def test_imp_left_rejects_mismatched_contexts():
         imp_left(p1, p2)
     with pytest.raises(TransformError):
         imp_left(p1, proved("p => p"))
+
+
+def test_cancel_against_a_counter_oracle():
+    rng = random.Random(83)
+    pool = [formula(rng, 2) for _ in range(4)]
+    for _ in range(2000):
+        drop = Multiset.from_iterable(rng.choices(pool, k=rng.randrange(5)))
+        put = Multiset.from_iterable(rng.choices(pool, k=rng.randrange(5)))
+        got = _cancel(drop, put)
+        want = (Counter(drop) - Counter(put), Counter(put) - Counter(drop))
+        assert tuple(map(type, got)) == (Multiset, Multiset)
+        assert got == tuple(Multiset.from_iterable(c.elements()) for c in want), (drop, put)
