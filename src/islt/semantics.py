@@ -17,19 +17,22 @@ forces the formula under valuation c. The models that one
 ``enumerate_models`` call builds on one frame share that frame's batches,
 and each model records its batch and its valuation number, so ``forces``
 and ``valid`` only read bits, and ``find_countermodel`` scans whole
-batches and builds a model only for the first hit. A batch ranges
-over every valuation of the trailing variables, as many of them as keep it
-within ``_MAX_WIDTH`` valuations; the leading variables are fixed per
-batch and looped over outside, in enumeration order. A model built by
-hand, or by ``model_from_json``, is evaluated through a batch of width 1
-made on first use. Batches evaluate with their own stack, so the depth of
-a formula is not bounded by Python's recursion limit.
+batches and builds a model only for the first hit. An enumerated model
+makes its valuation dict on first read, from the digits of its valuation
+number, so a sweep that only asks ``valid`` or ``forces`` never builds
+one. A batch ranges over every valuation of the trailing variables, as
+many of them as keep it within ``_MAX_WIDTH`` valuations; the leading
+variables are fixed per batch and looped over outside, in enumeration
+order. A model built by hand, or by ``model_from_json``, is evaluated
+through a batch of width 1 made on first use. Batches evaluate with their
+own stack, so the depth of a formula is not bounded by Python's recursion
+limit.
 """
 
 from __future__ import annotations
 
 import functools
-from itertools import islice, product
+from itertools import product
 from typing import Iterator, Optional, Sequence
 
 from .formula import And, Bot, Box, Formula, Imp, Or, Var, _Record
@@ -44,14 +47,36 @@ ENUMERATION_BOUND = 3
 _MAX_WIDTH = 4096
 
 
+class _Valuation:
+    """An enumerated model's valuation, made on first read from its batch
+    and valuation number and kept in its instance dict, which a descriptor
+    without __set__ gives way to from then on. A descriptor rather than
+    __getattr__: on CPython 3.11 that runs only after a failed lookup has
+    built and dropped an AttributeError, which costs more than the read."""
+
+    __slots__ = ()
+
+    def __get__(self, m, owner=None):
+        if m is None:
+            return self
+        fields = m.__dict__
+        batch = fields["_batch"]
+        base, heads, tails = batch.halves or batch.tabulate()
+        c = fields["_column"]
+        got = fields["valuation"] = {**heads[c // base], **tails[c % base]}
+        return got
+
+
 class KripkeModel(_Record):
     """A finite model; immutable, the valuation included. Its fields live
     in the instance dict, so that enumeration can fill that dict without
-    running __init__, beside the batch the model may carry. The batch is
-    not part of its value: equality, hashing, repr, pickling and copying
-    read only the fields."""
+    running __init__, beside the batch the model may carry. An enumerated
+    model's valuation is made on first read, from its batch and valuation
+    number, and then kept in that dict. The batch is not part of its value:
+    equality, hashing, repr, pickling and copying read only the fields."""
 
     __match_args__ = ("worlds", "leq", "r", "valuation")
+    valuation = _Valuation()
 
     def __init__(
         self,
@@ -152,13 +177,14 @@ class _Batch:
     trailing ones the up-sets that the base-u digits of c name. `env` maps
     a variable to its extension; a variable it lacks holds nowhere."""
 
-    __slots__ = ("frame", "names", "prefix", "full", "env", "_ext", "_refuted")
+    __slots__ = ("frame", "names", "prefix", "full", "env", "_ext", "_refuted", "halves")
 
     def __init__(self, frame: _Frame, env: dict[str, list[int]], full: int, names=(), prefix=()):
         self.frame, self.env, self.full = frame, env, full
         self.names, self.prefix = names, prefix
         self._ext: dict[Formula, list[int]] = {}
         self._refuted: dict[tuple, int] = {}
+        self.halves: Optional[tuple[int, list[dict], list[dict]]] = None
 
     def ext(self, f: Formula) -> list[int]:
         """Per world, the valuations under which it forces f."""
@@ -173,11 +199,12 @@ class _Batch:
             if g in cache:
                 todo.pop()
                 continue
-            if isinstance(g, Var):
+            kind = type(g)
+            if kind is Var:
                 out = self.env.get(g.name) or [0] * frame.n
-            elif isinstance(g, Bot):
+            elif kind is Bot:
                 out = [0] * frame.n
-            elif isinstance(g, Box):
+            elif kind is Box:
                 b = cache.get(g.body)
                 if b is None:
                     todo.append(g.body)
@@ -188,7 +215,7 @@ class _Batch:
                     for v in succ:
                         x &= b[v]
                     out.append(x)
-            elif isinstance(g, (And, Or, Imp)):
+            elif kind is And or kind is Or or kind is Imp:
                 a, b = cache.get(g.left), cache.get(g.right)
                 if a is None or b is None:
                     if a is None:
@@ -196,9 +223,9 @@ class _Batch:
                     if b is None:
                         todo.append(g.right)
                     continue
-                if isinstance(g, And):
+                if kind is And:
                     out = [x & y for x, y in zip(a, b)]
-                elif isinstance(g, Or):
+                elif kind is Or:
                     out = [x | y for x, y in zip(a, b)]
                 else:
                     ok = [full & ~x | y for x, y in zip(a, b)]
@@ -234,25 +261,36 @@ class _Batch:
             self._refuted[key] = got
         return got
 
+    def tabulate(self) -> tuple[int, list[dict], list[dict]]:
+        """Set and return `halves`, (base, heads, tails), on first need:
+        valuation c is heads[c // base] followed by tails[c % base]. The
+        heads give the leading variables `prefix` and the first half of the
+        trailing ones, the tails the rest, each trailing variable the up-set
+        its base-u digit of c names, the last one's least significant. Each
+        list holds about sqrt(width) dicts."""
+        names, prefix, upsets = self.names, self.prefix, self.frame.upsets
+        low = (len(names) - len(prefix)) // 2
+        split = len(names) - low
+        self.halves = (
+            len(upsets) ** low,
+            [dict(zip(names, prefix + t)) for t in product(upsets, repeat=split - len(prefix))],
+            [dict(zip(names[split:], t)) for t in product(upsets, repeat=low)],
+        )
+        return self.halves
+
     def models(self, start: int = 0) -> Iterator[KripkeModel]:
         """The models of valuations start, start + 1, ... in enumeration
-        order, each evaluated through this batch."""
-        frame, names, prefix = self.frame, self.names, self.prefix
-        trailing = product(frame.upsets, repeat=len(names) - len(prefix))
-        for c, chosen in enumerate(islice(trailing, start, None), start):
-            # past __init__, which would copy the valuation again
-            m = object.__new__(KripkeModel)
-            _set_dict(
-                m,
-                {
-                    "worlds": frame.n,
-                    "leq": frame.leq,
-                    "r": frame.r,
-                    "valuation": dict(zip(names, prefix + chosen)),
-                    "_batch": self,
-                    "_column": c,
-                },
-            )
+        order, each evaluated through this batch and made past __init__,
+        with the valuation left to its first read."""
+        frame = self.frame
+        fresh = {"worlds": frame.n, "leq": frame.leq, "r": frame.r, "_batch": self}.copy
+        new = object.__new__
+        # full has one bit per valuation
+        for c in range(start, self.full.bit_length()):
+            m = new(KripkeModel)
+            own = fresh()
+            own["_column"] = c
+            _set_dict(m, own)
             yield m
 
 
@@ -272,14 +310,16 @@ def _batch_of(m: KripkeModel) -> tuple[_Batch, int]:
 def forces(m: KripkeModel, w: int, f: Formula) -> bool:
     if not (0 <= w < m.worlds):
         raise ValueError(f"world {w} out of range")
-    batch, c = _batch_of(m)
-    return bool(batch.ext(f)[w] >> c & 1)
+    fields = m.__dict__
+    batch = fields.get("_batch") or _batch_of(m)[0]
+    return bool(batch.ext(f)[w] >> fields["_column"] & 1)
 
 
 def valid(m: KripkeModel, s: Sequent) -> bool:
     """Every world forcing the whole antecedent forces the succedent."""
-    batch, c = _batch_of(m)
-    return not (batch.refuted(s) >> c & 1)
+    fields = m.__dict__
+    batch = fields.get("_batch") or _batch_of(m)[0]
+    return not (batch.refuted(s) >> fields["_column"] & 1)
 
 
 def _subsets(items: Sequence) -> Iterator[frozenset]:

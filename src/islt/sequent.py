@@ -17,6 +17,11 @@ from .formula import Box, Formula, _Parser, _Record, print_formula, sort_key
 from .formula import variables as formula_variables
 
 
+# tuple's own constructor: the library builds multisets through it, past
+# the Python-level Multiset.__new__ that a direct call goes through
+_new = tuple.__new__
+
+
 def _remove(entries: tuple[Formula, ...], f: Formula, n: int) -> tuple[Formula, ...]:
     """entries without n occurrences of f; removing more than present is an
     error."""
@@ -51,27 +56,27 @@ class Multiset(_Record, tuple):
 
     @staticmethod
     def from_iterable(formulas: Iterable[Formula]) -> "Multiset":
-        return Multiset(sorted(formulas, key=sort_key))
+        return _new(Multiset, sorted(formulas, key=sort_key))
 
     def distinct(self) -> Iterator[Formula]:
         return iter(dict.fromkeys(self))
 
     def add(self, f: Formula) -> "Multiset":
         i = bisect_left(self[:], f.key, key=sort_key)
-        return Multiset(self[:i] + (f,) + self[i:])
+        return _new(Multiset, self[:i] + (f,) + self[i:])
 
     def remove(self, f: Formula) -> "Multiset":
         """Drop one occurrence; absence is an error."""
-        return Multiset(_remove(self, f, 1))
+        return _new(Multiset, _remove(self, f, 1))
 
     def remove_all(self, other: "Multiset") -> "Multiset":
         entries = self
         for f in other.distinct():
             entries = _remove(entries, f, other.count(f))
-        return Multiset(entries)
+        return _new(Multiset, entries)
 
     def union(self, other: "Multiset") -> "Multiset":
-        return Multiset(sorted(self + other, key=sort_key))
+        return _new(Multiset, sorted(self + other, key=sort_key))
 
 
 def partition_boxed(a: Multiset) -> tuple[Multiset, Multiset]:
@@ -79,8 +84,8 @@ def partition_boxed(a: Multiset) -> tuple[Multiset, Multiset]:
     gamma the bodies of the boxed ones, one box level only. Boxes sort by
     their bodies, so gamma keeps the order of a."""
     return (
-        Multiset(f for f in a if not isinstance(f, Box)),
-        Multiset(f.body for f in a if isinstance(f, Box)),
+        _new(Multiset, [f for f in a if not isinstance(f, Box)]),
+        _new(Multiset, [f.body for f in a if isinstance(f, Box)]),
     )
 
 

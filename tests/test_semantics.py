@@ -5,7 +5,7 @@ import hashlib
 import json
 import pickle
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from genlib import formula, proved_proofs, random_sequent, world_masks
@@ -154,6 +154,16 @@ def test_forces_world_range():
         forces(chain2(), 2, Var("p"))
 
 
+@pytest.mark.parametrize("model", [chain2(), next(enumerate_models(2, ["p"]))], ids=["hand-built", "enumerated"])
+def test_forcing_a_non_formula_is_a_type_error(model):
+    with pytest.raises(TypeError, match="not a formula"):
+        forces(model, 0, "p")
+    with pytest.raises(TypeError, match="not a formula"):
+        valid(model, Sequent(Multiset(), "p"))
+    with pytest.raises(TypeError, match="not a formula"):
+        valid(model, Sequent(Multiset(("p",)), Var("p")))
+
+
 def valid_slow(m, s):
     return all(
         forces_slow(m, w, s.suc)
@@ -196,6 +206,27 @@ def test_enumerated_and_hand_built_models_are_one_value():
         assert repr(m) == repr(hand) and model_to_json(m) == model_to_json(hand)
         assert pickle.dumps(m) == pickle.dumps(hand)
         assert pickle.loads(pickle.dumps(m)) == m == copy.deepcopy(m)
+
+
+@pytest.mark.parametrize("width", [semantics._MAX_WIDTH, 3])
+def test_unread_valuations_match_a_brute_force_product(monkeypatch, width):
+    """Each enumerated model, its valuation not yet read, is the model that
+    product over its frame's up-sets gives at its place, the last variable
+    varying fastest. At width 3 every batch fixes two or three leading
+    variables."""
+    names = ["p", "q", "r"]
+    monkeypatch.setattr(semantics, "_MAX_WIDTH", width)
+    reference = [
+        KripkeModel(n, frame.leq, frame.r, dict(zip(names, chosen)))
+        for n in (1, 2, 3)
+        for frame in semantics._frames(n)
+        for chosen in product(frame.upsets, repeat=len(names))
+    ]
+    for view in (lambda m: m, hash, repr, pickle.dumps):
+        models = list(enumerate_models(3, names))
+        assert not any("valuation" in vars(m) for m in models)
+        assert [view(m) for m in models] == [view(m) for m in reference]
+    assert {len(m._batch.prefix) for m in models} == ({0} if width > 3 else {2, 3})
 
 
 def test_persistence_on_enumerated_models():
