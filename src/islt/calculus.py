@@ -304,40 +304,6 @@ def _field(obj: dict, key: str, kind: type, required: bool = True):
     return value
 
 
-def derivation_to_json(d: Derivation) -> dict:
-    """The certificate object that dumps writes."""
-    return json.loads(dumps(d))
-
-
-def derivation_from_json(obj: dict) -> Derivation:
-    """Inverse of derivation_to_json; ValueError on the first wrong shape in
-    reading order: a node's fields, then its premises, then its sequent.
-    Each distinct formula text is parsed once."""
-    parsed: dict[str, Formula] = {}
-
-    def parse(text: str) -> Formula:
-        f = parsed.get(text)
-        if f is None:
-            f = parsed[text] = parse_formula(text)
-        return f
-
-    def read(obj: dict) -> Derivation:
-        if not isinstance(obj, dict):
-            raise ValueError(f"certificate node must be an object, got {type(obj).__name__}")
-        rule = RuleId(_field(obj, "rule", str))
-        principal = _field(obj, "principal", str, required=False)
-        children = tuple(map(read, _field(obj, "premises", list, required=False) or ()))
-        sequent = _field(obj, "sequent", dict)
-        texts = _field(sequent, "ant", list)
-        if not all(isinstance(t, str) for t in texts):
-            raise ValueError("certificate 'ant' must hold only strings")
-        ant = Multiset.from_iterable(map(parse, texts))
-        root = Sequent(ant, parse(_field(sequent, "suc", str)))
-        return Derivation(root, rule, None if principal is None else parse(principal), children)
-
-    return read(obj)
-
-
 def dumps(d: Derivation) -> str:
     """The certificate of d: at every node the object {"sequent": {"ant":
     [texts], "suc": text}, "rule": name, "principal": text (if any),
@@ -384,7 +350,32 @@ def dumps(d: Derivation) -> str:
 
 
 def loads(text: str) -> Derivation:
-    return derivation_from_json(json.loads(text))
+    """Inverse of dumps; ValueError on the first wrong shape in reading
+    order: a node's fields, then its premises, then its sequent. Each
+    distinct formula text is parsed once."""
+    parsed: dict[str, Formula] = {}
+
+    def parse(text: str) -> Formula:
+        f = parsed.get(text)
+        if f is None:
+            f = parsed[text] = parse_formula(text)
+        return f
+
+    def read(obj: dict) -> Derivation:
+        if not isinstance(obj, dict):
+            raise ValueError(f"certificate node must be an object, got {type(obj).__name__}")
+        rule = RuleId(_field(obj, "rule", str))
+        principal = _field(obj, "principal", str, required=False)
+        children = tuple(map(read, _field(obj, "premises", list, required=False) or ()))
+        sequent = _field(obj, "sequent", dict)
+        texts = _field(sequent, "ant", list)
+        if not all(isinstance(t, str) for t in texts):
+            raise ValueError("certificate 'ant' must hold only strings")
+        ant = Multiset.from_iterable(map(parse, texts))
+        root = Sequent(ant, parse(_field(sequent, "suc", str)))
+        return Derivation(root, rule, None if principal is None else parse(principal), children)
+
+    return read(json.loads(text))
 
 
 def render_text(d: Derivation) -> str:

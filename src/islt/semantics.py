@@ -61,9 +61,12 @@ class _Valuation:
             return self
         fields = m.__dict__
         batch = fields["_batch"]
-        base, heads, tails = batch.halves or batch.tabulate()
-        c = fields["_column"]
-        got = fields["valuation"] = {**heads[c // base], **tails[c % base]}
+        names, prefix, upsets = batch.names, batch.prefix, batch.frame.upsets
+        c, trailing = fields["_column"], []
+        for _ in range(len(names) - len(prefix)):
+            c, d = divmod(c, len(upsets))
+            trailing.append(upsets[d])
+        got = fields["valuation"] = dict(zip(names, prefix + tuple(reversed(trailing))))
         return got
 
 
@@ -173,18 +176,19 @@ class _Frame:
 
 class _Batch:
     """Forcing on one frame under a block of valuations at once. The
-    leading variables take the up-sets in `prefix`; valuation c gives the
-    trailing ones the up-sets that the base-u digits of c name. `env` maps
-    a variable to its extension; a variable it lacks holds nowhere."""
+    leading variables of `names` take the up-sets in `prefix`; valuation c
+    gives the trailing ones the up-sets that the base-u digits of c name,
+    the last one's least significant. A model of this batch reads its
+    valuation from `names`, `prefix` and the digits of its column. `env`
+    maps a variable to its extension; a variable it lacks holds nowhere."""
 
-    __slots__ = ("frame", "names", "prefix", "full", "env", "_ext", "_refuted", "halves")
+    __slots__ = ("frame", "names", "prefix", "full", "env", "_ext", "_refuted")
 
     def __init__(self, frame: _Frame, env: dict[str, list[int]], full: int, names=(), prefix=()):
         self.frame, self.env, self.full = frame, env, full
         self.names, self.prefix = names, prefix
         self._ext: dict[Formula, list[int]] = {}
         self._refuted: dict[tuple, int] = {}
-        self.halves: Optional[tuple[int, list[dict], list[dict]]] = None
 
     def ext(self, f: Formula) -> list[int]:
         """Per world, the valuations under which it forces f."""
@@ -260,23 +264,6 @@ class _Batch:
                 got |= x
             self._refuted[key] = got
         return got
-
-    def tabulate(self) -> tuple[int, list[dict], list[dict]]:
-        """Set and return `halves`, (base, heads, tails), on first need:
-        valuation c is heads[c // base] followed by tails[c % base]. The
-        heads give the leading variables `prefix` and the first half of the
-        trailing ones, the tails the rest, each trailing variable the up-set
-        its base-u digit of c names, the last one's least significant. Each
-        list holds about sqrt(width) dicts."""
-        names, prefix, upsets = self.names, self.prefix, self.frame.upsets
-        low = (len(names) - len(prefix)) // 2
-        split = len(names) - low
-        self.halves = (
-            len(upsets) ** low,
-            [dict(zip(names, prefix + t)) for t in product(upsets, repeat=split - len(prefix))],
-            [dict(zip(names[split:], t)) for t in product(upsets, repeat=low)],
-        )
-        return self.halves
 
     def models(self, start: int = 0) -> Iterator[KripkeModel]:
         """The models of valuations start, start + 1, ... in enumeration

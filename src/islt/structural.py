@@ -38,7 +38,7 @@ from .calculus import (
     replacements,
 )
 from .formula import And, Bot, Box, Formula, Imp, Or, Var, print_formula
-from .sequent import Multiset, Sequent, _remove, unbox_one_level
+from .sequent import Multiset, Sequent, _new, _remove, unbox_one_level
 
 
 class TransformError(ValueError):
@@ -60,7 +60,7 @@ def _cancel(drop: Multiset, put: Multiset) -> tuple[Multiset, Multiset]:
     where a rule may have used that occurrence up already."""
     for f in set(drop).intersection(put):
         k = min(drop.count(f), put.count(f))
-        drop, put = Multiset(_remove(drop, f, k)), Multiset(_remove(put, f, k))
+        drop, put = _new(Multiset, _remove(drop, f, k)), _new(Multiset, _remove(put, f, k))
     return drop, put
 
 

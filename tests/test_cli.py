@@ -181,9 +181,11 @@ _CI_CUT = (
 
 
 def test_packaging_job_digests(capsys, tmp_path):
-    """The certificates the packaging job pins byte for byte: a committed
+    """The outputs the packaging job pins byte for byte: a committed
     proof through AndL, AndR, SLtR, AtomImpL and OrR1, a seeded naive proof,
-    whose rule order follows the principals' order, and a cut-free file."""
+    whose rule order follows the principals' order, a cut-free file, and a
+    13-variable countermodel, whose valuation is read deep in a 4,096-wide
+    batch behind a leading variable."""
     code, out, _ = run(capsys, "prove", "--sequent", "[](p -> q), []p, r /\\ s => []q /\\ (r \\/ #)")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == (
@@ -200,6 +202,12 @@ def test_packaging_job_digests(capsys, tmp_path):
     assert code == 0
     assert hashlib.sha256(eliminated.read_bytes()).hexdigest() == (
         "ebabb6ab5f1f78870c8ec375030da18fb7674cb6f8d7c1a465586145d879422a"
+    )
+    wide = "a, c \\/ m => b \\/ d \\/ e \\/ f \\/ g \\/ h \\/ i \\/ j \\/ k \\/ l"
+    code, out, _ = run(capsys, "countermodel", "--sequent", wide)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "5b36161ae42f1ce094132582abc8cb70a9f527ac83ca1a09652a8ccf9508077b"
     )
 
 

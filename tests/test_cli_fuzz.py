@@ -132,7 +132,7 @@ def test_every_command_keeps_the_exit_code_contract(capsys, tmp_path, seed):
         d = rng.choice(proofs)
         for _ in range(rng.randrange(3)):
             d = inject_cut(rng, d)
-        cert.write_text(mutate_json(rng, calculus.derivation_to_json(d)), encoding="utf-8")
+        cert.write_text(mutate_json(rng, json.loads(calculus.dumps(d))), encoding="utf-8")
         run(capsys, "check", str(cert))
         out_path.unlink(missing_ok=True)
         code, _ = run(capsys, "cutelim", str(cert), "-o", str(out_path))
